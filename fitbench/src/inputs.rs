@@ -26,7 +26,7 @@ pub const ALEXNET_TRAIN: usize = 128;
 /// serving load replays.
 pub const EVAL: usize = 64;
 /// Training samples of the ResNet50 pipeline.
-pub const PIPELINE_TRAIN: usize = 128;
+pub const PIPELINE_TRAIN: usize = 96;
 
 /// A benchmark workload: the dataset family every phase runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -14,16 +14,19 @@ use std::path::Path;
 use std::time::Instant;
 
 pub const BATCH: usize = 32;
-pub const TRAIN_EPOCHS: usize = 1;
+/// Training epochs, each its own timed `train_for_accuracy` call.
+pub const TRAIN_EPOCHS: usize = 2;
 pub const POST_TRAIN_EPOCHS: usize = 1;
-pub const CALIBRATE_REPS: usize = 3;
+pub const CALIBRATE_REPS: usize = 2;
 
 /// Stage times and the stage reports, with durations left out so that two
 /// runs of the same seed compare equal exactly when their results do.
 #[derive(Debug, Clone)]
 pub struct Stages {
-    pub train_s: f64,
-    pub calibrate_s: f64,
+    /// Seconds of each training epoch.
+    pub train_s: Vec<f64>,
+    /// Seconds of each calibration repetition.
+    pub calibrate_s: Vec<f64>,
     pub posttrain_s: f64,
     pub post_train_epochs: usize,
     pub constraint_satisfied: bool,
@@ -60,16 +63,23 @@ pub fn run(
         tracer.exit(span);
         result.map(|fp| (seconds, fp))
     };
-    let (train_s, train_fp) = timed(tracer, "core.train_for_accuracy", &mut || {
-        let mut report = fitact.train_for_accuracy(&mut net, x, y, TRAIN_EPOCHS, 0.05)?;
-        report.duration = Default::default();
-        Ok(format!("{report:?}"))
-    })?;
+    // One call per epoch, so that each epoch is a sample of `train_s`.
+    let mut train_s = Vec::with_capacity(TRAIN_EPOCHS);
+    let mut train_fp = String::new();
+    for _ in 0..TRAIN_EPOCHS {
+        let (seconds, fp) = timed(tracer, "core.train_for_accuracy", &mut || {
+            let mut report = fitact.train_for_accuracy(&mut net, x, y, 1, 0.05)?;
+            report.duration = Default::default();
+            Ok(format!("{report:?}"))
+        })?;
+        train_s.push(seconds);
+        train_fp.push_str(&fp);
+    }
     // Calibration leaves the parameters untouched, so it repeats on the
-    // same network: the stage time is the fastest repetition and every
-    // repetition must profile the same maxima.
+    // same network: every repetition is a sample of `calibrate_s` and must
+    // profile the same maxima.
     let mut profile = None;
-    let mut calibrations = Vec::with_capacity(CALIBRATE_REPS);
+    let mut calibrate_s = Vec::with_capacity(CALIBRATE_REPS);
     let mut profile_fp = String::new();
     let mut calibrations_agree = true;
     for _ in 0..CALIBRATE_REPS {
@@ -81,9 +91,8 @@ pub fn run(
         })?;
         calibrations_agree &= profile_fp.is_empty() || fp == profile_fp;
         profile_fp = fp;
-        calibrations.push(seconds);
+        calibrate_s.push(seconds);
     }
-    let calibrate_s = calibrations.iter().copied().fold(f64::INFINITY, f64::min);
     let profile = profile.expect("calibration ran");
     let scheme = ProtectionScheme::FitAct {
         slope: DEFAULT_SLOPE,

@@ -23,13 +23,6 @@ pub fn valid_unit(unit: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '/' | '%' | '.' | '-'))
 }
 
-/// Which end of repeated measurements is the better one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Best {
-    Lowest,
-    Highest,
-}
-
 #[derive(Debug, Clone)]
 struct Metric {
     name: String,
@@ -61,20 +54,13 @@ impl Report {
         self.push(name, unit, summary.map_or(f64::NAN, |s| s.median), summary);
     }
 
-    /// Records the best of repeated runs of identical work — the lowest
-    /// time or the highest rate, per `best` — keeping the quartiles and
-    /// sample count for the detail line. Interference from other tenants
-    /// only ever slows a repetition down, so the best one is the steadiest
-    /// estimate of the work's own cost.
-    pub fn best(&mut self, name: &str, unit: &'static str, samples: &[f64], best: Best) {
+    /// Records the mean of repeated runs of identical work — their total
+    /// over their count — keeping the quartiles and sample count for the
+    /// detail line. Records NaN (which fails the run) when there are no
+    /// finite samples.
+    pub fn mean(&mut self, name: &str, unit: &'static str, samples: &[f64]) {
         let summary = Summary::of(samples);
-        let pick = match best {
-            Best::Lowest => f64::min,
-            Best::Highest => f64::max,
-        };
-        let value = summary.map_or(f64::NAN, |_| {
-            samples.iter().copied().reduce(pick).unwrap_or(f64::NAN)
-        });
+        let value = summary.map_or(f64::NAN, |s| samples.iter().sum::<f64>() / s.n as f64);
         self.push(name, unit, value, summary);
     }
 
@@ -224,21 +210,28 @@ mod tests {
                 .and_then(|v| v.as_f64()),
             Some(2.0)
         );
-        report.best("fastest_s", "s", &[3.0, 1.5, 2.0], Best::Lowest);
-        report.best("rate", "1/s", &[3.0, 1.5, 2.0], Best::Highest);
+        report.median("odd_s", "s", &[3.0, 1.5, 2.0]);
+        report.median("even_s", "s", &[4.0, 1.0, 3.0, 2.0]);
+        report.mean("mean_s", "s", &[4.0, 1.0, 3.0, 8.0]);
         let line = report.result_json();
         let parsed = fitact_io::JsonValue::parse(&line).unwrap();
         assert_eq!(
             parsed
-                .path(&["metrics", "fastest_s", "value"])
+                .path(&["metrics", "odd_s", "value"])
                 .and_then(|v| v.as_f64()),
-            Some(1.5)
+            Some(2.0)
         );
         assert_eq!(
             parsed
-                .path(&["metrics", "rate", "value"])
+                .path(&["metrics", "even_s", "value"])
                 .and_then(|v| v.as_f64()),
-            Some(3.0)
+            Some(2.5)
+        );
+        assert_eq!(
+            parsed
+                .path(&["metrics", "mean_s", "value"])
+                .and_then(|v| v.as_f64()),
+            Some(4.0)
         );
         report.check("other", false);
         assert!(!report.correct());
