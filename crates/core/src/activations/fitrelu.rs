@@ -25,7 +25,7 @@ use fitact_tensor::Tensor;
 /// whole point of the function) corresponds to a negative `k` in that formula;
 /// this implementation uses the equivalent form `x · σ(k(λ_i − x))` with a
 /// positive `k`, which matches Fig. 3 exactly. The discrepancy is documented in
-/// `DESIGN.md`.
+/// `docs/architecture.md`.
 ///
 /// # Example
 ///
@@ -107,16 +107,20 @@ impl FitRelu {
         }
         Ok(neurons)
     }
-
-    #[inline]
-    fn gate(&self, x: f32, lambda: f32) -> f32 {
-        sigmoid(self.slope * (lambda - x))
-    }
 }
+
+/// Gate arguments above this saturate: `e^{−z} < 2^{−24}` for `z > 17`, so
+/// `1 / (1 + e^{−z})` rounds to exactly 1.0 in f32 and the `exp` can be
+/// skipped without changing a bit. Inputs at least `17/k` below a large
+/// calibrated bound, the bulk of a deep network's activations, land here.
+/// NaN fails the comparison and takes the full formula.
+const SATURATED_GATE: f32 = 17.0;
 
 #[inline]
 fn sigmoid(z: f32) -> f32 {
-    if z >= 0.0 {
+    if z > SATURATED_GATE {
+        1.0
+    } else if z >= 0.0 {
         1.0 / (1.0 + (-z).exp())
     } else {
         let e = z.exp();
@@ -131,15 +135,26 @@ impl Activation for FitRelu {
 
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         let neurons = self.check_input(input)?;
-        self.cached_input = Some(input.clone());
-        let bounds = self.bounds.data().as_slice();
-        let mut out = input.clone();
-        for (i, v) in out.as_mut_slice().iter_mut().enumerate() {
-            let lambda = bounds[i % neurons];
-            let inner = *v * self.gate(*v, lambda);
-            *v = inner.max(0.0);
+        // Post-training backpropagates through eval-mode forwards, so the
+        // input is cached in every mode. A same-sized buffer is refilled in
+        // place; any other size is replaced, so one large batch does not pin
+        // its memory for the activation's lifetime.
+        match &mut self.cached_input {
+            Some(cache) if cache.numel() == input.numel() => cache.copy_from(input),
+            cache => *cache = Some(input.clone()),
         }
-        Ok(out)
+        let k = self.slope;
+        let bounds = self.bounds.data().as_slice();
+        let mut out = Vec::with_capacity(input.numel());
+        for sample in input.as_slice().chunks_exact(neurons) {
+            out.extend(
+                sample
+                    .iter()
+                    .zip(bounds)
+                    .map(|(&x, &lambda)| (x * sigmoid(k * (lambda - x))).max(0.0)),
+            );
+        }
+        Ok(Tensor::from_vec(out, input.dims())?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
@@ -156,33 +171,34 @@ impl Activation for FitRelu {
         }
         let neurons = self.num_neurons();
         let k = self.slope;
-        let bounds = self.bounds.data().as_slice().to_vec();
-        let x = input.as_slice();
-        let g = grad_output.as_slice();
-        let mut grad_input = Tensor::zeros(input.dims());
-        let gi = grad_input.as_mut_slice();
-        let grad_lambda = self.bounds.grad_mut().as_mut_slice();
-        for i in 0..x.len() {
-            let neuron = i % neurons;
-            let lambda = bounds[neuron];
-            let xi = x[i];
-            // y = max(0, x·σ(k(λ−x))); the inner product is positive iff x > 0.
-            if xi <= 0.0 {
-                continue;
+        let (bounds, grad_lambda) = self.bounds.data_and_grad_mut();
+        let (bounds, grad_lambda) = (bounds.as_slice(), grad_lambda.as_mut_slice());
+        let mut grad_input = Vec::with_capacity(input.numel());
+        let samples = input
+            .as_slice()
+            .chunks_exact(neurons)
+            .zip(grad_output.as_slice().chunks_exact(neurons));
+        for (x, g) in samples {
+            for (((&xi, &gi), &lambda), gl) in x.iter().zip(g).zip(bounds).zip(&mut *grad_lambda) {
+                // y = max(0, x·σ(k(λ−x))); the inner product is positive iff x > 0.
+                if xi <= 0.0 {
+                    grad_input.push(0.0);
+                    continue;
+                }
+                let s = sigmoid(k * (lambda - xi));
+                let ds = s * (1.0 - s);
+                // ∂y/∂x = σ + x · σ' · (−k) = s − k·x·s(1−s)
+                grad_input.push(gi * (s - k * xi * ds));
+                // ∂y/∂λ = x · σ' · k = k·x·s(1−s)
+                *gl += gi * k * xi * ds;
             }
-            let s = sigmoid(k * (lambda - xi));
-            let ds = s * (1.0 - s);
-            // ∂y/∂x = σ + x · σ' · (−k) = s − k·x·s(1−s)
-            gi[i] = g[i] * (s - k * xi * ds);
-            // ∂y/∂λ = x · σ' · k = k·x·s(1−s)
-            grad_lambda[neuron] += g[i] * k * xi * ds;
         }
-        Ok(grad_input)
+        Ok(Tensor::from_vec(grad_input, input.dims())?)
     }
 
     fn eval_scalar(&self, x: f32, neuron: usize) -> f32 {
         let lambda = self.bounds.data().as_slice()[neuron % self.num_neurons()];
-        (x * self.gate(x, lambda)).max(0.0)
+        (x * sigmoid(self.slope * (lambda - x))).max(0.0)
     }
 
     fn count_violations(&self, input: &Tensor) -> u64 {

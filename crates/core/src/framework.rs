@@ -323,6 +323,11 @@ impl FitAct {
     /// stage, reverting the bounds to the last epoch that satisfied the
     /// constraint.
     ///
+    /// Cost: `1 + E` full evaluation passes over `inputs` for `E` epochs run
+    /// (one before the first epoch, one after each), plus one
+    /// forward/backward per mini-batch. The backward pass computes no
+    /// gradients for the frozen Θ_A.
+    ///
     /// # Errors
     ///
     /// Propagates layer and loss errors; returns
@@ -370,7 +375,9 @@ impl FitAct {
 
         let mut best_bounds = snapshot_lambda(network, &lambda_indices);
         let mut epochs_run = 0usize;
-        let mut constraint_satisfied = true;
+        // Accuracy of the bounds the network holds: the last accepted epoch's
+        // (a revert restores exactly those bounds, so it needs no re-evaluation).
+        let mut final_accuracy = initial_accuracy;
         for _ in 0..self.config.post_train_epochs {
             run_epoch(
                 network,
@@ -390,10 +397,8 @@ impl FitAct {
                     {
                         let mut params = net.params_mut();
                         for &i in &lambda_indices {
-                            let p = &mut params[i];
-                            let data: Vec<f32> = p.data().as_slice().to_vec();
-                            let grad = p.grad_mut().as_mut_slice();
-                            for (g, v) in grad.iter_mut().zip(&data) {
+                            let (data, grad) = params[i].data_and_grad_mut();
+                            for (g, v) in grad.as_mut_slice().iter_mut().zip(data.as_slice()) {
                                 *g += reg_scale * v;
                             }
                         }
@@ -416,16 +421,12 @@ impl FitAct {
             if initial_accuracy - current > self.config.delta {
                 // Constraint violated: revert to the last accepted bounds.
                 restore_lambda(network, &lambda_indices, &best_bounds);
-                constraint_satisfied = true;
                 break;
             }
             best_bounds = snapshot_lambda(network, &lambda_indices);
-            constraint_satisfied = initial_accuracy
-                - network.evaluate(inputs, targets, self.config.batch_size)?
-                <= self.config.delta;
+            final_accuracy = current;
         }
-
-        let final_accuracy = network.evaluate(inputs, targets, self.config.batch_size)?;
+        let constraint_satisfied = initial_accuracy - final_accuracy <= self.config.delta;
         let mean_bound_after = mean_lambda(network, &lambda_indices);
 
         // Restore the original trainable flags of Θ_A (the bounds stay
@@ -733,6 +734,93 @@ mod tests {
             .map(|&v| v.max(crate::protect::BOUND_FLOOR))
             .collect();
         Tensor::from_vec(bounds.clone(), &[bounds.len()]).unwrap()
+    }
+
+    /// A trained, calibrated and FitAct-modified MLP, identical on every call.
+    fn protected_mlp(config: FitActConfig) -> (Network, Tensor, Vec<usize>) {
+        let mut net = mlp(8);
+        let (inputs, targets) = blob_data(128, 9);
+        let fitact = FitAct::new(config);
+        fitact
+            .train_for_accuracy(&mut net, &inputs, &targets, 10, 0.05)
+            .unwrap();
+        let profile = fitact.calibrate(&mut net, &inputs).unwrap();
+        fitact.modify(&mut net, &profile).unwrap();
+        (net, inputs, targets)
+    }
+
+    fn lambda_bits(net: &Network) -> Vec<u32> {
+        let params = net.params();
+        lambda_param_indices(net)
+            .iter()
+            .flat_map(|&i| params[i].data().as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    /// Bounds and accuracy after a violating epoch: the bounds are the
+    /// snapshot the epoch started from, bit for bit, and the reported final
+    /// accuracy is theirs (checked against a fresh evaluation).
+    fn assert_reverted(
+        config: FitActConfig,
+        expected_epochs: usize,
+        expected_bounds: &[u32],
+        expected_accuracy: f32,
+    ) {
+        let (mut net, inputs, targets) = protected_mlp(config);
+        let report = FitAct::new(config)
+            .post_train(&mut net, &inputs, &targets)
+            .unwrap();
+        assert_eq!(report.epochs_run, expected_epochs);
+        assert!(report.epochs_run < config.post_train_epochs);
+        assert_eq!(lambda_bits(&net), expected_bounds);
+        assert_eq!(report.final_accuracy.to_bits(), expected_accuracy.to_bits());
+        let fresh = net.evaluate(&inputs, &targets, config.batch_size).unwrap();
+        assert_eq!(report.final_accuracy.to_bits(), fresh.to_bits());
+        assert!(report.constraint_satisfied);
+        assert!(report.initial_accuracy - report.final_accuracy <= config.delta);
+    }
+
+    #[test]
+    fn post_train_reverts_a_violating_first_epoch_to_the_initial_bounds() {
+        // δ = 0 with a huge step and regulariser: the first epoch collapses
+        // the bounds and loses accuracy.
+        let config = FitActConfig {
+            delta: 0.0,
+            zeta: 50.0,
+            post_train_lr: 5.0,
+            post_train_epochs: 3,
+            ..Default::default()
+        };
+        let (mut net, inputs, targets) = protected_mlp(config);
+        let initial_bounds = lambda_bits(&net);
+        let initial_accuracy = net.evaluate(&inputs, &targets, config.batch_size).unwrap();
+        assert_reverted(config, 1, &initial_bounds, initial_accuracy);
+    }
+
+    #[test]
+    fn post_train_reverts_a_violating_later_epoch_to_the_last_accepted_bounds() {
+        // With this step size the first epoch costs under 1% accuracy and
+        // the second over 20%, so δ = 0.1 accepts one epoch and reverts the
+        // next. The one-epoch run (δ = 1 accepts everything) shares the
+        // first epoch bit for bit and yields the expected snapshot.
+        let config = FitActConfig {
+            delta: 0.1,
+            zeta: 5.0,
+            post_train_lr: 0.1,
+            post_train_epochs: 3,
+            ..Default::default()
+        };
+        let one_epoch = FitActConfig {
+            delta: 1.0,
+            post_train_epochs: 1,
+            ..config
+        };
+        let (mut net, inputs, targets) = protected_mlp(one_epoch);
+        let report = FitAct::new(one_epoch)
+            .post_train(&mut net, &inputs, &targets)
+            .unwrap();
+        assert!(report.initial_accuracy - report.final_accuracy <= config.delta);
+        assert_reverted(config, 2, &lambda_bits(&net), report.final_accuracy);
     }
 
     #[test]

@@ -38,7 +38,8 @@ pub trait Activation: fmt::Debug + Send + Sync {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError>;
 
     /// Propagates `grad_output` (same shape as the forward output) back to the
-    /// input, accumulating gradients of any internal parameters.
+    /// input, accumulating the gradients of its *trainable* internal
+    /// parameters (a frozen parameter's gradient may be left untouched).
     ///
     /// # Errors
     ///

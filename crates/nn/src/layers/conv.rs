@@ -313,6 +313,10 @@ impl Conv2d {
         let in_size = self.in_channels * h * w;
         let out_size = self.out_channels * spatial;
         let mut dx = Tensor::zeros(input.dims());
+        // Frozen parameters (e.g. Θ_A during FitAct post-training) get no
+        // gradient: dW and its im2col are skipped, dx is computed as always.
+        let train_weight = self.weight.trainable();
+        let train_bias = self.bias.trainable();
         let (wdata, wgrad) = self.weight.data_and_grad_mut();
         let wmat = wdata.as_slice();
         let bgrad = self.bias.grad_mut();
@@ -320,30 +324,34 @@ impl Conv2d {
             .ws
             .pair((WS_COLS, kmat * spatial), (WS_DCOLS, kmat * spatial));
         for n in 0..batch {
-            let sample = &input.as_slice()[n * in_size..(n + 1) * in_size];
-            im2col_into(
-                sample,
-                (self.in_channels, h, w),
-                (self.kernel, self.kernel),
-                self.stride,
-                self.padding,
-                cols,
-            )?;
             let g = &grad_output.as_slice()[n * out_size..(n + 1) * out_size];
-            // dW += g · colsᵀ, accumulated straight into the gradient.
-            matmul_into(
-                Layout::Nt,
-                g,
-                cols,
-                wgrad.as_mut_slice(),
-                self.out_channels,
-                spatial,
-                kmat,
-                true,
-            );
-            // db += row sums of g.
-            for (oc, row) in g.chunks_exact(spatial).enumerate() {
-                bgrad.as_mut_slice()[oc] += row.iter().sum::<f32>();
+            if train_weight {
+                let sample = &input.as_slice()[n * in_size..(n + 1) * in_size];
+                im2col_into(
+                    sample,
+                    (self.in_channels, h, w),
+                    (self.kernel, self.kernel),
+                    self.stride,
+                    self.padding,
+                    cols,
+                )?;
+                // dW += g · colsᵀ, accumulated straight into the gradient.
+                matmul_into(
+                    Layout::Nt,
+                    g,
+                    cols,
+                    wgrad.as_mut_slice(),
+                    self.out_channels,
+                    spatial,
+                    kmat,
+                    true,
+                );
+            }
+            if train_bias {
+                // db += row sums of g.
+                for (oc, row) in g.chunks_exact(spatial).enumerate() {
+                    bgrad.as_mut_slice()[oc] += row.iter().sum::<f32>();
+                }
             }
             // dcols = Wᵀ · g, then scatter back onto the image.
             matmul_into(

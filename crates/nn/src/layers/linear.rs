@@ -134,22 +134,27 @@ impl Layer for Linear {
             });
         }
         // dW = gᵀ x, db = Σ_batch g, dx = g W — the matrix gradients are
-        // accumulated straight into the parameter gradients (no temporary).
+        // accumulated straight into the parameter gradients (no temporary);
+        // frozen parameters get none.
         let batch = grad_output.dims()[0];
-        matmul_into(
-            Layout::Tn,
-            grad_output.as_slice(),
-            input.as_slice(),
-            self.weight.grad_mut().as_mut_slice(),
-            self.out_features,
-            batch,
-            self.in_features,
-            true,
-        );
-        let bgrad = self.bias.grad_mut().as_mut_slice();
-        for row in grad_output.as_slice().chunks_exact(self.out_features) {
-            for (b, g) in bgrad.iter_mut().zip(row) {
-                *b += g;
+        if self.weight.trainable() {
+            matmul_into(
+                Layout::Tn,
+                grad_output.as_slice(),
+                input.as_slice(),
+                self.weight.grad_mut().as_mut_slice(),
+                self.out_features,
+                batch,
+                self.in_features,
+                true,
+            );
+        }
+        if self.bias.trainable() {
+            let bgrad = self.bias.grad_mut().as_mut_slice();
+            for row in grad_output.as_slice().chunks_exact(self.out_features) {
+                for (b, g) in bgrad.iter_mut().zip(row) {
+                    *b += g;
+                }
             }
         }
         Ok(grad_output.matmul(self.weight.data())?)

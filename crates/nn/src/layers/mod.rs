@@ -68,7 +68,11 @@ pub trait Layer: fmt::Debug + Send + Sync {
     /// Returns an error if the input shape is incompatible with the layer.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError>;
 
-    /// Propagates gradients back through the layer.
+    /// Propagates gradients back through the layer, returning the input
+    /// gradient and accumulating the gradients of its *trainable*
+    /// parameters. A frozen parameter's gradient may be left untouched: the
+    /// conv, linear and batch-norm layers skip it, so a backward pass
+    /// through frozen weights computes little beyond the input gradient.
     ///
     /// # Errors
     ///

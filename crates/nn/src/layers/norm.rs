@@ -166,15 +166,20 @@ impl Layer for BatchNorm2d {
         let xh = cache.x_hat.as_slice();
         let gamma = self.gamma.data().as_slice();
 
-        // Parameter gradients.
+        // Parameter gradients. Training-mode dx needs them even when γ and β
+        // are frozen; eval-mode dx does not.
+        let train_gamma = self.gamma.trainable();
+        let train_beta = self.beta.trainable();
         let mut dgamma = vec![0.0f32; c];
         let mut dbeta = vec![0.0f32; c];
-        for n in 0..batch {
-            for ch in 0..c {
-                let base = (n * c + ch) * spatial;
-                for i in base..base + spatial {
-                    dgamma[ch] += g[i] * xh[i];
-                    dbeta[ch] += g[i];
+        if cache.mode == Mode::Train || train_gamma || train_beta {
+            for n in 0..batch {
+                for ch in 0..c {
+                    let base = (n * c + ch) * spatial;
+                    for i in base..base + spatial {
+                        dgamma[ch] += g[i] * xh[i];
+                        dbeta[ch] += g[i];
+                    }
                 }
             }
         }
@@ -209,12 +214,16 @@ impl Layer for BatchNorm2d {
             }
         }
 
-        self.gamma
-            .grad_mut()
-            .add_assign(&Tensor::from_vec(dgamma, &[c])?)?;
-        self.beta
-            .grad_mut()
-            .add_assign(&Tensor::from_vec(dbeta, &[c])?)?;
+        if train_gamma {
+            self.gamma
+                .grad_mut()
+                .add_assign(&Tensor::from_vec(dgamma, &[c])?)?;
+        }
+        if train_beta {
+            self.beta
+                .grad_mut()
+                .add_assign(&Tensor::from_vec(dbeta, &[c])?)?;
+        }
         Ok(dx)
     }
 
