@@ -33,6 +33,7 @@ use fitact_nn::loss::CrossEntropyLoss;
 use fitact_nn::models::{alexnet, ModelConfig};
 use fitact_nn::optim::Sgd;
 use fitact_nn::Network;
+use fitact_tensor::json::JsonValue;
 use fitact_tensor::{init, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -385,48 +386,38 @@ fn emit_campaign_json(smoke: bool) {
 
     let (equal_trials, neyman_trials, trial_speedup, neyman_identical) = adaptive_case(smoke);
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"campaign_throughput\",\n",
-            "  \"network\": \"alexnet-tiny (CNN demo)\",\n",
-            "  \"smoke\": {smoke},\n",
-            "  \"campaign_throughput\": {{\n",
-            "    \"case\": \"full_forward_vs_checkpoint_resumed\",\n",
-            "    \"eval_samples\": {eval},\n",
-            "    \"trials\": {trials},\n",
-            "    \"fault_rate\": {rate:e},\n",
-            "    \"full_forward_seconds\": {full:.6},\n",
-            "    \"checkpoint_resumed_seconds\": {resumed:.6},\n",
-            "    \"speedup\": {speedup:.3},\n",
-            "    \"bit_identical\": {ident}\n",
-            "  }},\n",
-            "  \"campaign_adaptive\": {{\n",
-            "    \"case\": \"equal_vs_neyman_trials_to_target\",\n",
-            "    \"equal_trials\": {equal_trials},\n",
-            "    \"neyman_trials\": {neyman_trials},\n",
-            "    \"speedup\": {trial_speedup:.3},\n",
-            "    \"bit_identical\": {neyman_identical}\n",
-            "  }}\n",
-            "}}\n"
+    let json = JsonValue::object([
+        ("bench", "campaign_throughput".into()),
+        ("network", "alexnet-tiny (CNN demo)".into()),
+        ("smoke", smoke.into()),
+        (
+            "campaign_throughput",
+            JsonValue::object([
+                ("case", "full_forward_vs_checkpoint_resumed".into()),
+                ("eval_samples", targets.len().into()),
+                ("trials", config.trials.into()),
+                ("fault_rate", config.fault_rate.into()),
+                ("full_forward_seconds", full_seconds.into()),
+                ("checkpoint_resumed_seconds", resumed_seconds.into()),
+                ("speedup", speedup.into()),
+                ("bit_identical", bit_identical.into()),
+            ]),
         ),
-        eval = targets.len(),
-        trials = config.trials,
-        rate = config.fault_rate,
-        smoke = smoke,
-        full = full_seconds,
-        resumed = resumed_seconds,
-        speedup = speedup,
-        ident = bit_identical,
-        equal_trials = equal_trials,
-        neyman_trials = neyman_trials,
-        trial_speedup = trial_speedup,
-        neyman_identical = neyman_identical,
-    );
+        (
+            "campaign_adaptive",
+            JsonValue::object([
+                ("case", "equal_vs_neyman_trials_to_target".into()),
+                ("equal_trials", equal_trials.into()),
+                ("neyman_trials", neyman_trials.into()),
+                ("speedup", trial_speedup.into()),
+                ("bit_identical", neyman_identical.into()),
+            ]),
+        ),
+    ]);
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_campaign.json");
-    std::fs::write(&path, &json).expect("BENCH_campaign.json is writable");
+    std::fs::write(&path, format!("{json}\n")).expect("BENCH_campaign.json is writable");
     println!(
         "campaign_cnn engines: full {full_seconds:.3}s vs resumed {resumed_seconds:.3}s \
          ({speedup:.2}x); adaptive: {equal_trials} equal vs {neyman_trials} neyman trials \

@@ -18,6 +18,7 @@
 
 use criterion::{black_box, BenchmarkId, Criterion};
 use fitact_tensor::half::f32_to_f16;
+use fitact_tensor::json::JsonValue;
 use fitact_tensor::matmul::{matmul_into, serial_scope, Layout};
 use fitact_tensor::simd;
 use std::time::Instant;
@@ -158,7 +159,7 @@ fn bench_f16_kernel(c: &mut Criterion) {
 /// returns the `BENCH_matmul.json` document. `speedup` is what the CI
 /// bench-trend job gates: it collapses to ~1 if dispatch stops taking the
 /// SIMD leg.
-fn emit_matmul_f16_json(smoke: bool) -> String {
+fn emit_matmul_f16_json(smoke: bool) -> JsonValue {
     let size = 256usize;
     let (x, w, bias) = f16_operands(size, size, size);
     let reps = if smoke { 1 } else { 7 };
@@ -197,28 +198,17 @@ fn emit_matmul_f16_json(smoke: bool) -> String {
         d = 1e3 * dispatched_s,
         s = 1e3 * scalar_s,
     );
-    format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"matmul_kernels\",\n",
-            "  \"case\": \"matmul_f16\",\n",
-            "  \"smoke\": {smoke},\n",
-            "  \"shape\": \"{size}x{size}x{size}\",\n",
-            "  \"backend\": \"{backend}\",\n",
-            "  \"dispatched_ms\": {dispatched:.3},\n",
-            "  \"scalar_ms\": {scalar:.3},\n",
-            "  \"speedup\": {speedup:.3},\n",
-            "  \"bit_identical\": {bit_identical}\n",
-            "}}\n"
-        ),
-        smoke = smoke,
-        size = size,
-        backend = simd::backend_name(),
-        dispatched = 1e3 * dispatched_s,
-        scalar = 1e3 * scalar_s,
-        speedup = speedup,
-        bit_identical = bit_identical,
-    )
+    JsonValue::object([
+        ("bench", "matmul_kernels".into()),
+        ("case", "matmul_f16".into()),
+        ("smoke", smoke.into()),
+        ("shape", format!("{size}x{size}x{size}").into()),
+        ("backend", simd::backend_name().into()),
+        ("dispatched_ms", (1e3 * dispatched_s).into()),
+        ("scalar_ms", (1e3 * scalar_s).into()),
+        ("speedup", speedup.into()),
+        ("bit_identical", bit_identical.into()),
+    ])
 }
 
 fn main() {
@@ -231,6 +221,6 @@ fn main() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_matmul.json");
-    std::fs::write(&path, &json).expect("BENCH_matmul.json is writable");
+    std::fs::write(&path, format!("{json}\n")).expect("BENCH_matmul.json is writable");
     println!("matmul_kernels -> {}", path.display());
 }

@@ -33,6 +33,7 @@ use fitact_io::ModelArtifact;
 use fitact_nn::layers::{ActivationLayer, Linear, Sequential};
 use fitact_nn::{copy_batch_into, Mode, Network};
 use fitact_serve::{ServeConfig, Server};
+use fitact_tensor::json::JsonValue;
 use fitact_tensor::matmul::serial_scope;
 use fitact_tensor::{init, Precision, Tensor};
 use rand::rngs::StdRng;
@@ -95,7 +96,7 @@ fn bench_serve(c: &mut Criterion) {
 /// Times each batch size (median of `reps` passes over the eval set),
 /// asserts per-row bit-identity against the per-request path, and returns
 /// the `micro_batching` JSON object for `BENCH_serve.json`.
-fn emit_serve_json(smoke: bool) -> String {
+fn emit_serve_json(smoke: bool) -> JsonValue {
     let mut net = serving_mlp();
     let inputs = eval_inputs();
     let mut staging = Tensor::default();
@@ -129,44 +130,35 @@ fn emit_serve_json(smoke: bool) -> String {
         })
         .collect();
     let per_sample_us = |s: f64| 1e6 * s / SAMPLES as f64;
-    let mut batch_entries = String::new();
-    for (batch, seconds) in &batched {
-        batch_entries.push_str(&format!(
-            "    \"{batch}\": {{ \"us_per_sample\": {us:.3}, \"speedup\": {speedup:.3} }},\n",
-            us = per_sample_us(*seconds),
-            speedup = per_request_s / seconds.max(1e-12),
-        ));
-    }
-    let json = format!(
-        concat!(
-            "  \"micro_batching\": {{\n",
-            "    \"case\": \"micro_batched_vs_per_request_forward\",\n",
-            "    \"network\": \"serving-mlp (256-512-512-10)\",\n",
-            "    \"eval_samples\": {samples},\n",
-            "    \"per_request_us_per_sample\": {per_request:.3},\n",
-            "    \"batched\": {{\n",
-            "{entries}",
-            "    \"_\": null\n",
-            "    }},\n",
-            "    \"speedup_at_8\": {speedup8:.3},\n",
-            "    \"bit_identical\": true\n",
-            "  }}"
+    let speedup = |seconds: f64| per_request_s / seconds.max(1e-12);
+    let batched_json = JsonValue::object(batched.iter().map(|&(batch, seconds)| {
+        let entry = JsonValue::object([
+            ("us_per_sample", per_sample_us(seconds).into()),
+            ("speedup", speedup(seconds).into()),
+        ]);
+        (batch.to_string(), entry)
+    }));
+    let seconds_at_8 = batched
+        .iter()
+        .find(|(b, _)| *b == 8)
+        .map(|&(_, s)| s)
+        .expect("batch 8 measured");
+    let json = JsonValue::object([
+        ("case", "micro_batched_vs_per_request_forward".into()),
+        ("network", "serving-mlp (256-512-512-10)".into()),
+        ("eval_samples", SAMPLES.into()),
+        (
+            "per_request_us_per_sample",
+            per_sample_us(per_request_s).into(),
         ),
-        samples = SAMPLES,
-        per_request = per_sample_us(per_request_s),
-        entries = batch_entries,
-        speedup8 = per_request_s
-            / batched
-                .iter()
-                .find(|(b, _)| *b == 8)
-                .map(|(_, s)| *s)
-                .expect("batch 8 measured")
-                .max(1e-12),
-    );
+        ("batched", batched_json),
+        ("speedup_at_8", speedup(seconds_at_8).into()),
+        ("bit_identical", true.into()),
+    ]);
     println!(
         "serve_throughput: per-request {pr:.1} us/sample, batch 8 {b8:.1} us/sample",
         pr = per_sample_us(per_request_s),
-        b8 = per_sample_us(batched.iter().find(|(b, _)| *b == 8).expect("measured").1),
+        b8 = per_sample_us(seconds_at_8),
     );
     json
 }
@@ -177,7 +169,7 @@ fn emit_serve_json(smoke: bool) -> String {
 /// the weight stream the bottleneck, halving the bytes is the win the
 /// reduced-precision path exists for; the returned `precision_f16` JSON
 /// object records rows/sec for both element types and their ratio.
-fn emit_precision_json(smoke: bool) -> String {
+fn emit_precision_json(smoke: bool) -> JsonValue {
     const INPUT: usize = 2048;
     const HIDDEN: usize = 4096;
     const BATCH: usize = 32;
@@ -242,26 +234,18 @@ fn emit_precision_json(smoke: bool) -> String {
         f32 = rows_per_s(f32_s),
         f16 = rows_per_s(f16_s),
     );
-    format!(
-        concat!(
-            "  \"precision_f16\": {{\n",
-            "    \"case\": \"f16_vs_f32_bandwidth_bound_batch32\",\n",
-            "    \"network\": \"wide-mlp ({input}-{hidden}-{hidden}-10)\",\n",
-            "    \"batch\": {batch},\n",
-            "    \"eval_samples\": {rows},\n",
-            "    \"f32_rows_per_s\": {f32:.1},\n",
-            "    \"f16_rows_per_s\": {f16:.1},\n",
-            "    \"f16_speedup\": {speedup:.3}\n",
-            "  }}"
+    JsonValue::object([
+        ("case", "f16_vs_f32_bandwidth_bound_batch32".into()),
+        (
+            "network",
+            format!("wide-mlp ({INPUT}-{HIDDEN}-{HIDDEN}-10)").into(),
         ),
-        input = INPUT,
-        hidden = HIDDEN,
-        batch = BATCH,
-        rows = ROWS,
-        f32 = rows_per_s(f32_s),
-        f16 = rows_per_s(f16_s),
-        speedup = speedup,
-    )
+        ("batch", BATCH.into()),
+        ("eval_samples", ROWS.into()),
+        ("f32_rows_per_s", rows_per_s(f32_s).into()),
+        ("f16_rows_per_s", rows_per_s(f16_s).into()),
+        ("f16_speedup", speedup.into()),
+    ])
 }
 
 /// One keep-alive client: `requests` predicts on a single connection,
@@ -328,7 +312,7 @@ fn drive_connections(addr: SocketAddr, conns: usize, per_conn: usize) -> (f64, u
 /// the 512-connection row is the acceptance bar for the event-driven
 /// transport — and the returned `connection_scaling` JSON object records
 /// requests/second per connection count.
-fn emit_connection_scaling_json(smoke: bool) -> String {
+fn emit_connection_scaling_json(smoke: bool) -> JsonValue {
     let mut rng = StdRng::seed_from_u64(124);
     let net = Network::new(
         "bench-mlp",
@@ -358,14 +342,16 @@ fn emit_connection_scaling_json(smoke: bool) -> String {
     .expect("server starts");
     let addr = server.addr();
     let per_conn = if smoke { 2 } else { 8 };
-    let mut entries = String::new();
+    let mut entries = Vec::new();
     for conns in [1usize, 64, 512] {
         let (seconds, rows) = drive_connections(addr, conns, per_conn);
         assert_eq!(rows, conns * per_conn, "every request served, no errors");
-        entries.push_str(&format!(
-            "    \"{conns}\": {{ \"requests\": {rows}, \"seconds\": {seconds:.4}, \"requests_per_s\": {rps:.1} }},\n",
-            rps = rows as f64 / seconds.max(1e-12),
-        ));
+        let entry = JsonValue::object([
+            ("requests", rows.into()),
+            ("seconds", seconds.into()),
+            ("requests_per_s", (rows as f64 / seconds.max(1e-12)).into()),
+        ]);
+        entries.push((conns.to_string(), entry));
         println!(
             "serve_throughput: {conns} keep-alive conns x {per_conn} requests in {seconds:.3}s, all served"
         );
@@ -374,37 +360,29 @@ fn emit_connection_scaling_json(smoke: bool) -> String {
     let metrics = server.join();
     assert_eq!(metrics.errors_total, 0, "no server-side errors");
     std::fs::remove_dir_all(&dir).ok();
-    format!(
-        concat!(
-            "  \"connection_scaling\": {{\n",
-            "    \"case\": \"keepalive_connection_scaling\",\n",
-            "    \"network\": \"bench-mlp (4-32-3)\",\n",
-            "    \"requests_per_connection\": {per_conn},\n",
-            "    \"connections\": {{\n",
-            "{entries}",
-            "    \"_\": null\n",
-            "    }},\n",
-            "    \"all_requests_served\": true\n",
-            "  }}"
-        ),
-        per_conn = per_conn,
-        entries = entries,
-    )
+    JsonValue::object([
+        ("case", "keepalive_connection_scaling".into()),
+        ("network", "bench-mlp (4-32-3)".into()),
+        ("requests_per_connection", per_conn.into()),
+        ("connections", JsonValue::object(entries)),
+        ("all_requests_served", true.into()),
+    ])
 }
 
 fn main() {
     let smoke = std::env::args().any(|arg| arg == "--test");
     let mut criterion = Criterion::default();
     bench_serve(&mut criterion);
-    let micro_batching = emit_serve_json(smoke);
-    let precision = emit_precision_json(smoke);
-    let connection_scaling = emit_connection_scaling_json(smoke);
-    let json = format!(
-        "{{\n  \"bench\": \"serve_throughput\",\n  \"smoke\": {smoke},\n{micro_batching},\n{precision},\n{connection_scaling}\n}}\n"
-    );
+    let json = JsonValue::object([
+        ("bench", "serve_throughput".into()),
+        ("smoke", smoke.into()),
+        ("micro_batching", emit_serve_json(smoke)),
+        ("precision_f16", emit_precision_json(smoke)),
+        ("connection_scaling", emit_connection_scaling_json(smoke)),
+    ]);
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_serve.json");
-    std::fs::write(&path, &json).expect("BENCH_serve.json is writable");
+    std::fs::write(&path, format!("{json}\n")).expect("BENCH_serve.json is writable");
     println!("serve_throughput -> {}", path.display());
 }

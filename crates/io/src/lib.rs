@@ -26,8 +26,9 @@
 //! * [`CampaignCheckpoint`] — resumable campaign-state snapshots
 //!   (atomic-rename publication, typed torn-file errors; [`campaign_state`]
 //!   documents the crash-safety contract),
-//! * [`json`] — a minimal JSON parse/emit tree for the machine-readable
-//!   reports the `fitact` CLI exchanges with CI gates,
+//! * [`json`] — a re-export of [`fitact_tensor::json`], the workspace's
+//!   one JSON tree, kept at this path for callers that reach JSON through
+//!   the I/O crate,
 //! * [`golden`] — train-once/load-forever artifact caching for tests,
 //!   examples and benches.
 //!
@@ -64,7 +65,6 @@ pub mod artifact;
 pub mod bytes;
 pub mod campaign_state;
 pub mod golden;
-pub mod json;
 pub mod mapped;
 #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
 mod mmap;
@@ -77,7 +77,8 @@ pub use campaign_state::{
     fingerprint_bytes, CampaignCheckpoint, CampaignSpec, CAMPAIGN_SPEC_MAGIC, CAMPAIGN_STATE_MAGIC,
     CAMPAIGN_STATE_MIN_VERSION, CAMPAIGN_STATE_VERSION,
 };
-pub use json::JsonValue;
+pub use fitact_tensor::json;
+pub use fitact_tensor::json::JsonValue;
 pub use mapped::MappedArtifact;
 
 use std::error::Error;

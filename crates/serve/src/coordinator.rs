@@ -45,7 +45,7 @@ use fitact_faults::{
     assemble_report, plan_round_allocated, stopping_decision, z_for_confidence, CampaignReport,
     FaultError, FaultModel, StatCampaignConfig, StratifiedSampler, StratumPool, UnitRunner,
 };
-use fitact_io::{fingerprint_bytes, CampaignCheckpoint, CampaignSpec, ModelArtifact};
+use fitact_io::{fingerprint_bytes, CampaignCheckpoint, CampaignSpec, JsonValue, ModelArtifact};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -367,14 +367,21 @@ impl Shared {
         }
     }
 
-    /// Merges a reported unit. Returns `(status, body)` for the HTTP layer.
-    fn merge(&self, ledger: &mut Ledger, result: &UnitResult, unit_trials: usize) -> (u16, String) {
+    /// Merges a reported unit. Returns whether it was fresh (`false` for an
+    /// idempotent duplicate), or the conflict the HTTP layer answers with
+    /// 409.
+    fn merge(
+        &self,
+        ledger: &mut Ledger,
+        result: &UnitResult,
+        unit_trials: usize,
+    ) -> Result<bool, String> {
         let stale_check =
             |ledger: &mut Ledger, shared: &Shared| match shared.verify_points(ledger, result) {
-                Ok(()) => (200, "{\"status\":\"ok\",\"fresh\":false}".to_owned()),
+                Ok(()) => Ok(false),
                 Err(msg) => {
                     ledger.fatal = Some(msg.clone());
-                    (409, format!("{{\"error\":{}}}", quote(&msg)))
+                    Err(msg)
                 }
             };
         let round = unit_round(result.unit.id);
@@ -386,23 +393,17 @@ impl Shared {
             return out;
         }
         if round > ledger.rounds {
-            return (
-                409,
-                format!(
-                    "{{\"error\":\"unit {} belongs to round {round}, coordinator is at round {}\"}}",
-                    result.unit.id, ledger.rounds
-                ),
-            );
+            return Err(format!(
+                "unit {} belongs to round {round}, coordinator is at round {}",
+                result.unit.id, ledger.rounds
+            ));
         }
         let Some(i) = ledger
             .units
             .iter()
             .position(|s| s.unit.id == result.unit.id)
         else {
-            return (
-                409,
-                format!("{{\"error\":\"unknown unit id {}\"}}", result.unit.id),
-            );
+            return Err(format!("unknown unit id {}", result.unit.id));
         };
         if ledger.units[i].unit != result.unit {
             let msg = format!(
@@ -410,7 +411,7 @@ impl Shared {
                 result.unit.id, ledger.units[i].unit, result.unit
             );
             ledger.fatal = Some(msg.clone());
-            return (409, format!("{{\"error\":{}}}", quote(&msg)));
+            return Err(msg);
         }
         if ledger.units[i].state == UnitState::Done {
             let out = stale_check(ledger, self);
@@ -429,13 +430,13 @@ impl Shared {
                     );
                     ledger.fatal = Some(msg.clone());
                     self.cv.notify_all();
-                    return (409, format!("{{\"error\":{}}}", quote(&msg)));
+                    return Err(msg);
                 }
                 Err(other) => {
                     let msg = other.to_string();
                     ledger.fatal = Some(msg.clone());
                     self.cv.notify_all();
-                    return (409, format!("{{\"error\":{}}}", quote(&msg)));
+                    return Err(msg);
                 }
             }
         }
@@ -445,37 +446,37 @@ impl Shared {
         }
         self.save_checkpoint(ledger);
         self.cv.notify_all();
-        (200, "{\"status\":\"ok\",\"fresh\":true}".to_owned())
-    }
-
-    fn status_json(&self, ledger: &Ledger) -> String {
-        let total: usize = ledger.pools.iter().map(StratumPool::len).sum();
-        let pending = ledger
-            .units
-            .iter()
-            .filter(|s| s.state == UnitState::Pending)
-            .count();
-        let leased = ledger
-            .units
-            .iter()
-            .filter(|s| matches!(s.state, UnitState::Leased { .. }))
-            .count();
-        let done = ledger
-            .units
-            .iter()
-            .filter(|s| s.state == UnitState::Done)
-            .count();
-        format!(
-            "{{\"round\":{},\"total_trials\":{total},\"pending_units\":{pending},\
-             \"leased_units\":{leased},\"done_units\":{done},\"finished\":{},\
-             \"converged\":{},\"stopping\":{}}}",
-            ledger.rounds, ledger.finished, ledger.converged, ledger.stopping
-        )
+        Ok(true)
     }
 }
 
-fn quote(text: &str) -> String {
-    fitact_io::json::escape_json_string(text)
+impl Ledger {
+    /// The `/campaign/status` progress snapshot.
+    fn status(&self) -> JsonValue {
+        let count = |wanted: fn(&UnitState) -> bool| {
+            self.units.iter().filter(|slot| wanted(&slot.state)).count()
+        };
+        JsonValue::object([
+            ("round", self.rounds.into()),
+            (
+                "total_trials",
+                self.pools
+                    .iter()
+                    .map(StratumPool::len)
+                    .sum::<usize>()
+                    .into(),
+            ),
+            ("pending_units", count(|s| *s == UnitState::Pending).into()),
+            (
+                "leased_units",
+                count(|s| matches!(s, UnitState::Leased { .. })).into(),
+            ),
+            ("done_units", count(|s| *s == UnitState::Done).into()),
+            ("finished", self.finished.into()),
+            ("converged", self.converged.into()),
+            ("stopping", self.stopping.into()),
+        ])
+    }
 }
 
 impl Coordinator {
@@ -686,8 +687,12 @@ impl Coordinator {
 
     /// Progress snapshot as a JSON line (same shape as `/campaign/status`).
     pub fn status(&self) -> String {
-        let ledger = self.shared.ledger.lock().expect("ledger poisoned");
-        self.shared.status_json(&ledger)
+        self.status_json().to_string()
+    }
+
+    /// The progress snapshot [`Coordinator::status`] renders.
+    pub fn status_json(&self) -> JsonValue {
+        self.shared.ledger.lock().expect("ledger poisoned").status()
     }
 
     /// Stops serving and joins the background threads.
@@ -767,41 +772,39 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, unit_trials: usize)
         }
         ("POST", "/campaign/result") => handle_result(&mut stream, &request, shared, unit_trials),
         ("GET", "/campaign/status") => {
-            let body = {
-                let ledger = shared.ledger.lock().expect("ledger poisoned");
-                shared.status_json(&ledger)
-            };
-            let _ = write_response(&mut stream, 200, &body);
+            let body = shared.ledger.lock().expect("ledger poisoned").status();
+            let _ = write_response(&mut stream, 200, &body.to_string());
         }
         ("GET", "/healthz") => {
-            let _ = write_response(&mut stream, 200, "{\"status\":\"ok\"}");
+            let body = JsonValue::object([("status", "ok".into())]);
+            let _ = write_response(&mut stream, 200, &body.to_string());
         }
         _ => {
-            let _ = write_response(&mut stream, 404, "{\"error\":\"unknown route\"}");
+            let body = JsonValue::object([("error", "unknown route".into())]);
+            let _ = write_response(&mut stream, 404, &body.to_string());
         }
     }
 }
 
 fn handle_result(stream: &mut TcpStream, request: &Request, shared: &Shared, unit_trials: usize) {
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => {
-            let _ = write_response(stream, 400, "{\"error\":\"non-UTF-8 result body\"}");
-            return;
-        }
+    let outcome = std::str::from_utf8(&request.body)
+        .map_err(|_| "non-UTF-8 result body".to_owned())
+        .and_then(UnitResult::from_json)
+        .map_err(|msg| (400, msg))
+        .and_then(|result| {
+            let mut ledger = shared.ledger.lock().expect("ledger poisoned");
+            shared
+                .merge(&mut ledger, &result, unit_trials)
+                .map_err(|msg| (409, msg))
+        });
+    let (status, body) = match outcome {
+        Ok(fresh) => (
+            200,
+            JsonValue::object([("status", "ok".into()), ("fresh", fresh.into())]),
+        ),
+        Err((status, msg)) => (status, JsonValue::object([("error", msg.into())])),
     };
-    let result = match UnitResult::from_json(body) {
-        Ok(result) => result,
-        Err(msg) => {
-            let _ = write_response(stream, 400, &format!("{{\"error\":{}}}", quote(&msg)));
-            return;
-        }
-    };
-    let (status, response) = {
-        let mut ledger = shared.ledger.lock().expect("ledger poisoned");
-        shared.merge(&mut ledger, &result, unit_trials)
-    };
-    let _ = write_response(stream, status, &response);
+    let _ = write_response(stream, status, &body.to_string());
 }
 
 /// In-process unit execution: the coordinator degrades gracefully down to
@@ -841,7 +844,9 @@ fn local_executor(
                             points,
                         };
                         let mut ledger = shared.ledger.lock().expect("ledger poisoned");
-                        shared.merge(&mut ledger, &result, unit_trials);
+                        // A fatal conflict is recorded in the ledger,
+                        // which ends this loop on its next grant.
+                        let _ = shared.merge(&mut ledger, &result, unit_trials);
                     }
                     Err(e) => {
                         let mut ledger = shared.ledger.lock().expect("ledger poisoned");
@@ -970,5 +975,52 @@ mod tests {
         );
         assert_eq!(query_param("/campaign/unit", "worker"), None);
         assert_eq!(query_param("/campaign/unit?other=1", "worker"), None);
+    }
+
+    #[test]
+    fn status_is_byte_identical_to_the_replaced_encoder() {
+        let (_, mut pools) = empty_state(2);
+        for index in 0..2 {
+            let point = fitact_faults::TrialPoint {
+                accuracy: 0.5,
+                faults: 1,
+            };
+            pools[1].insert(index, point).unwrap();
+        }
+        let slot = |id, state| UnitSlot {
+            unit: WorkUnit {
+                id,
+                stratum: 0,
+                start: 0,
+                count: 1,
+            },
+            state,
+        };
+        let ledger = Ledger {
+            pools,
+            counts: vec![4, 4],
+            rounds: 3,
+            units: vec![
+                slot(0, UnitState::Pending),
+                slot(
+                    1,
+                    UnitState::Leased {
+                        worker: "w".into(),
+                        deadline: Instant::now(),
+                    },
+                ),
+                slot(2, UnitState::Done),
+                slot(3, UnitState::Done),
+            ],
+            finished: false,
+            converged: true,
+            stopping: true,
+            fatal: None,
+        };
+        assert_eq!(
+            ledger.status().to_string(),
+            "{\"round\":3,\"total_trials\":2,\"pending_units\":1,\"leased_units\":1,\
+             \"done_units\":2,\"finished\":false,\"converged\":true,\"stopping\":true}"
+        );
     }
 }

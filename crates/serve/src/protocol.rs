@@ -71,19 +71,6 @@ pub enum Grant {
     Done,
 }
 
-fn num(v: f64) -> JsonValue {
-    JsonValue::Number(v)
-}
-
-fn obj(entries: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect(),
-    )
-}
-
 fn as_u64(value: Option<&JsonValue>, what: &str) -> Result<u64, String> {
     let raw = value
         .and_then(JsonValue::as_f64)
@@ -97,23 +84,21 @@ fn as_u64(value: Option<&JsonValue>, what: &str) -> Result<u64, String> {
 impl Grant {
     /// Encodes the grant as a JSON control message.
     pub fn to_json(&self) -> String {
-        match self {
-            Grant::Unit { unit, lease_ms } => obj(vec![
-                ("status", JsonValue::String("unit".into())),
-                ("id", num(unit.id as f64)),
-                ("stratum", num(unit.stratum as f64)),
-                ("start", num(unit.start as f64)),
-                ("count", num(unit.count as f64)),
-                ("lease_ms", num(*lease_ms as f64)),
-            ])
-            .to_string(),
-            Grant::Wait { retry_ms } => obj(vec![
-                ("status", JsonValue::String("wait".into())),
-                ("retry_ms", num(*retry_ms as f64)),
-            ])
-            .to_string(),
-            Grant::Done => obj(vec![("status", JsonValue::String("done".into()))]).to_string(),
-        }
+        let value = match self {
+            Grant::Unit { unit, lease_ms } => JsonValue::object([
+                ("status", "unit".into()),
+                ("id", unit.id.into()),
+                ("stratum", unit.stratum.into()),
+                ("start", unit.start.into()),
+                ("count", unit.count.into()),
+                ("lease_ms", (*lease_ms).into()),
+            ]),
+            Grant::Wait { retry_ms } => {
+                JsonValue::object([("status", "wait".into()), ("retry_ms", (*retry_ms).into())])
+            }
+            Grant::Done => JsonValue::object([("status", "done".into())]),
+        };
+        value.to_string()
     }
 
     /// Decodes a grant control message.
@@ -160,20 +145,15 @@ impl UnitResult {
         let points: Vec<JsonValue> = self
             .points
             .iter()
-            .map(|p| {
-                JsonValue::Array(vec![
-                    num(f64::from(p.accuracy.to_bits())),
-                    num(p.faults as f64),
-                ])
-            })
+            .map(|p| JsonValue::Array(vec![p.accuracy.to_bits().into(), p.faults.into()]))
             .collect();
-        obj(vec![
-            ("worker", JsonValue::String(self.worker.clone())),
-            ("id", num(self.unit.id as f64)),
-            ("stratum", num(self.unit.stratum as f64)),
-            ("start", num(self.unit.start as f64)),
-            ("count", num(self.unit.count as f64)),
-            ("points", JsonValue::Array(points)),
+        JsonValue::object([
+            ("worker", self.worker.as_str().into()),
+            ("id", self.unit.id.into()),
+            ("stratum", self.unit.stratum.into()),
+            ("start", self.unit.start.into()),
+            ("count", self.unit.count.into()),
+            ("points", points.into()),
         ])
         .to_string()
     }
@@ -349,5 +329,46 @@ mod tests {
         assert_eq!(fault_model_by_name("bitflip").unwrap().name(), "bitflip");
         assert!(fault_model_by_name("burst").is_none());
         assert!(fault_model_by_name("").is_none());
+    }
+
+    #[test]
+    fn control_messages_are_byte_identical_to_the_replaced_encoder() {
+        let unit = WorkUnit {
+            id: unit_id(2, 1),
+            stratum: 1,
+            start: 16,
+            count: 2,
+        };
+        assert_eq!(
+            Grant::Unit {
+                unit,
+                lease_ms: 30_000
+            }
+            .to_json(),
+            r#"{"status":"unit","id":8589934593,"stratum":1,"start":16,"count":2,"lease_ms":30000}"#
+        );
+        assert_eq!(
+            Grant::Wait { retry_ms: 250 }.to_json(),
+            r#"{"status":"wait","retry_ms":250}"#
+        );
+        assert_eq!(Grant::Done.to_json(), r#"{"status":"done"}"#);
+        let result = UnitResult {
+            worker: "w\"0\"".into(),
+            unit,
+            points: vec![
+                TrialPoint {
+                    accuracy: 0.7231445,
+                    faults: 17,
+                },
+                TrialPoint {
+                    accuracy: f32::NAN,
+                    faults: 0,
+                },
+            ],
+        };
+        assert_eq!(
+            result.to_json(),
+            r#"{"worker":"w\"0\"","id":8589934593,"stratum":1,"start":16,"count":2,"points":[[1060708351,17],[2143289344,0]]}"#
+        );
     }
 }

@@ -1317,10 +1317,7 @@ fn canary_loop(shared: &Arc<Shared>, jobs: &mpsc::Receiver<CanaryJob>) {
 }
 
 fn error_json(message: &str) -> JsonValue {
-    JsonValue::Object(vec![(
-        "error".into(),
-        JsonValue::String(message.to_owned()),
-    )])
+    JsonValue::object([("error", message.into())])
 }
 
 fn route(shared: &Arc<Shared>, request: &Request) -> (u16, JsonValue, bool) {
@@ -1340,21 +1337,12 @@ fn route(shared: &Arc<Shared>, request: &Request) -> (u16, JsonValue, bool) {
             // percentiles are not polluted by earlier traffic; cumulative
             // counters are deliberately left untouched.
             shared.metrics.reset_latency_window();
-            (
-                200,
-                JsonValue::Object(vec![(
-                    "status".into(),
-                    JsonValue::String("latency window reset".into()),
-                )]),
-                false,
-            )
+            let body = JsonValue::object([("status", "latency window reset".into())]);
+            (200, body, false)
         }
         ("POST", "/admin/shutdown") => (
             200,
-            JsonValue::Object(vec![(
-                "status".into(),
-                JsonValue::String("shutting down".into()),
-            )]),
+            JsonValue::object([("status", "shutting down".into())]),
             true,
         ),
         (
@@ -1376,49 +1364,21 @@ fn route(shared: &Arc<Shared>, request: &Request) -> (u16, JsonValue, bool) {
 
 fn health_json(shared: &Arc<Shared>) -> JsonValue {
     let model = shared.current_model();
-    JsonValue::Object(vec![
-        ("status".into(), JsonValue::String("ok".into())),
-        ("model".into(), JsonValue::String(model.name.clone())),
+    JsonValue::object([
+        ("status", "ok".into()),
+        ("model", model.name.as_str().into()),
+        ("scheme", model.scheme.clone().into()),
+        ("input_shape", model.input_shape.clone().into()),
+        ("num_parameters", model.num_parameters.into()),
+        ("precision", model.precision.name().into()),
+        ("mapped", model.mapped.into()),
         (
-            "scheme".into(),
-            model
-                .scheme
-                .clone()
-                .map(JsonValue::String)
-                .unwrap_or(JsonValue::Null),
+            "generation",
+            shared.generation.load(Ordering::Acquire).into(),
         ),
-        (
-            "input_shape".into(),
-            JsonValue::Array(
-                model
-                    .input_shape
-                    .iter()
-                    .map(|&d| JsonValue::Number(d as f64))
-                    .collect(),
-            ),
-        ),
-        (
-            "num_parameters".into(),
-            JsonValue::Number(model.num_parameters as f64),
-        ),
-        (
-            "precision".into(),
-            JsonValue::String(model.precision.name().into()),
-        ),
-        ("mapped".into(), JsonValue::Bool(model.mapped)),
-        (
-            "generation".into(),
-            JsonValue::Number(shared.generation.load(Ordering::Acquire) as f64),
-        ),
-        ("workers".into(), JsonValue::Number(shared.workers as f64)),
-        (
-            "queue_depth".into(),
-            JsonValue::Number(shared.queue.depth() as f64),
-        ),
-        (
-            "max_batch".into(),
-            JsonValue::Number(shared.queue.max_batch() as f64),
-        ),
+        ("workers", shared.workers.into()),
+        ("queue_depth", shared.queue.depth().into()),
+        ("max_batch", shared.queue.max_batch().into()),
     ])
 }
 
@@ -1514,25 +1474,21 @@ fn predict(shared: &Arc<Shared>, body: &[u8]) -> (u16, JsonValue) {
         match result.outcome {
             Ok(output) => {
                 outputs.push(JsonValue::Array(
-                    output
-                        .logits
-                        .iter()
-                        .map(|&v| JsonValue::Number(f64::from(v)))
-                        .collect(),
+                    output.logits.iter().map(|&v| v.into()).collect(),
                 ));
-                classes.push(JsonValue::Number(output.class as f64));
-                batch_sizes.push(JsonValue::Number(result.batch_size as f64));
+                classes.push(output.class);
+                batch_sizes.push(result.batch_size);
             }
             Err(message) => return (500, error_json(&message)),
         }
     }
     (
         200,
-        JsonValue::Object(vec![
-            ("model".into(), JsonValue::String(model.name.clone())),
-            ("outputs".into(), JsonValue::Array(outputs)),
-            ("classes".into(), JsonValue::Array(classes)),
-            ("batch_sizes".into(), JsonValue::Array(batch_sizes)),
+        JsonValue::object([
+            ("model", model.name.as_str().into()),
+            ("outputs", outputs.into()),
+            ("classes", classes.into()),
+            ("batch_sizes", batch_sizes.into()),
         ]),
     )
 }
@@ -1550,13 +1506,10 @@ fn reload(shared: &Arc<Shared>) -> (u16, JsonValue) {
             shared.metrics.on_reload();
             (
                 200,
-                JsonValue::Object(vec![
-                    ("status".into(), JsonValue::String("reloaded".into())),
-                    ("generation".into(), JsonValue::Number(generation as f64)),
-                    (
-                        "num_parameters".into(),
-                        JsonValue::Number(num_parameters as f64),
-                    ),
+                JsonValue::object([
+                    ("status", "reloaded".into()),
+                    ("generation", generation.into()),
+                    ("num_parameters", num_parameters.into()),
                 ]),
             )
         }

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, JsonValue) {
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -105,6 +105,27 @@ fn routing_and_validation_errors() {
     let (status, body) = http(addr, "POST", "/predict", r#"{"input": [1, 2, 3, 4]}"#);
     assert_eq!(status, 200, "{body}");
     assert_eq!(body.get("outputs").unwrap().as_array().unwrap().len(), 1);
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn a_megabyte_string_body_is_rejected_promptly() {
+    // `/predict` parses untrusted bodies: a string scan that re-validates
+    // the rest of the body per character takes tens of seconds here.
+    let (server, addr, _) = start_tiny(4, 5);
+    let body = JsonValue::object([("inputs", "x".repeat(1 << 20).into())]).to_string();
+    let start = Instant::now();
+    let (status, response) = http(addr, "POST", "/predict", &body);
+    let elapsed = start.elapsed();
+    assert_eq!(status, 400, "{response}");
+    assert!(response
+        .get("error")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .contains("must be an array"));
+    assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
     server.shutdown();
     server.join();
 }

@@ -1,19 +1,27 @@
-//! Minimal JSON tree: parse, query and emit.
+//! Minimal JSON tree: build, parse, query and emit.
 //!
-//! The CI gates (`fitact diff-report`, `fitact bench-gate`) must *read* the
-//! machine-readable reports the pipeline emits, and the build environment is
-//! offline (no serde). This module implements the small JSON subset those
-//! reports use: objects, arrays, strings, finite numbers, booleans and
-//! null — which is all of standard JSON except exotic escapes (`\uXXXX` is
-//! supported).
+//! This is the workspace's one JSON implementation. Campaign reports,
+//! `/metrics`, the coordinator protocol, the CLI's result lines and the
+//! bench files are all built as a [`JsonValue`] and rendered by its
+//! `Display`; the CI gates (`fitact diff-report`, `fitact bench-gate`) and
+//! the servers read documents back with [`JsonValue::parse`]. The build
+//! environment is offline (no serde), and the module lives in the leaf
+//! crate so every other crate can reach it.
 //!
-//! Numbers parse into `f64`, matching how the reports are produced (Rust's
-//! shortest-round-trip float formatting), so a value survives an emit →
-//! parse cycle exactly.
+//! Values are built with [`JsonValue::object`] plus `From` conversions for
+//! the scalar types the emitters use. Numbers are carried as `f64`: `f32`
+//! values are widened exactly, integers are exact up to 2^53, and
+//! non-finite floats — illegal in JSON — become `null` at construction.
+//! Emission uses Rust's shortest round-trip float formatting, so a number
+//! survives an emit → parse cycle bit-exactly.
+//!
+//! The parser accepts standard JSON (RFC 8259), including `\uXXXX` escapes
+//! and surrogate pairs, runs in time linear in its input and bounds nesting
+//! depth, because `fitact serve` feeds untrusted request bodies through it.
 
 use std::fmt;
 
-/// A parsed JSON value.
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -31,6 +39,18 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
+    /// Builds an object from `(key, value)` pairs, keeping their order.
+    ///
+    /// ```
+    /// use fitact_tensor::json::JsonValue;
+    ///
+    /// let doc = JsonValue::object([("n", 3usize.into()), ("x", f32::NAN.into())]);
+    /// assert_eq!(doc.to_string(), r#"{"n":3,"x":null}"#);
+    /// ```
+    pub fn object<K: Into<String>>(entries: impl IntoIterator<Item = (K, JsonValue)>) -> JsonValue {
+        JsonValue::Object(entries.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// Parses a JSON document.
     ///
     /// # Errors
@@ -39,14 +59,14 @@ impl JsonValue {
     /// its byte offset.
     pub fn parse(input: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
-            bytes: input.as_bytes(),
+            text: input,
             pos: 0,
             depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != input.len() {
             return Err(format!("trailing input at byte {}", p.pos));
         }
         Ok(value)
@@ -102,12 +122,73 @@ impl JsonValue {
     }
 }
 
+impl From<f64> for JsonValue {
+    /// A number, or `null` for NaN and infinities.
+    fn from(v: f64) -> Self {
+        if v.is_finite() {
+            JsonValue::Number(v)
+        } else {
+            JsonValue::Null
+        }
+    }
+}
+
+impl From<f32> for JsonValue {
+    /// Widened to `f64` exactly; NaN and infinities become `null`.
+    fn from(v: f32) -> Self {
+        f64::from(v).into()
+    }
+}
+
+macro_rules! from_integer {
+    ($($t:ty),*) => {$(
+        impl From<$t> for JsonValue {
+            fn from(v: $t) -> Self {
+                JsonValue::Number(v as f64)
+            }
+        }
+    )*};
+}
+from_integer!(u32, u64, usize);
+
+impl From<bool> for JsonValue {
+    fn from(v: bool) -> Self {
+        JsonValue::Bool(v)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(v: &str) -> Self {
+        JsonValue::String(v.to_owned())
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(v: String) -> Self {
+        JsonValue::String(v)
+    }
+}
+
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    /// The inner value, or `null` for `None`.
+    fn from(v: Option<T>) -> Self {
+        v.map_or(JsonValue::Null, Into::into)
+    }
+}
+
+impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
+    fn from(items: Vec<T>) -> Self {
+        JsonValue::Array(items.into_iter().map(Into::into).collect())
+    }
+}
+
 impl fmt::Display for JsonValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JsonValue::Null => f.write_str("null"),
             JsonValue::Bool(b) => write!(f, "{b}"),
-            JsonValue::Number(v) => f.write_str(&format_f64(*v)),
+            JsonValue::Number(v) if v.is_finite() => write!(f, "{v}"),
+            JsonValue::Number(_) => f.write_str("null"),
             JsonValue::String(s) => f.write_str(&escape_json_string(s)),
             JsonValue::Array(items) => {
                 f.write_str("[")?;
@@ -130,16 +211,6 @@ impl fmt::Display for JsonValue {
                 f.write_str("}")
             }
         }
-    }
-}
-
-/// Formats an `f64` for JSON: shortest round-trip decimal; non-finite values
-/// (illegal in JSON) become `null`.
-pub fn format_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
     }
 }
 
@@ -170,14 +241,18 @@ pub fn escape_json_string(s: &str) -> String {
 const MAX_JSON_DEPTH: usize = 128;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     depth: usize,
 }
 
 impl Parser<'_> {
+    fn bytes(&self) -> &[u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -187,7 +262,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -200,7 +275,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -290,53 +365,75 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "invalid \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "invalid \\u escape".to_string())?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "invalid \\u code point".to_string())?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("invalid escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run up to the next quote or backslash in one step.
+            // Both are ASCII, which never occurs inside a multi-byte UTF-8
+            // sequence, so the run ends on a character boundary.
+            let rest = &self.text[self.pos..];
+            let run = rest
+                .bytes()
+                .position(|b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&rest[..run]);
+            self.pos += run + 1;
+            if rest.as_bytes()[run] == b'"' {
+                return Ok(out);
+            }
+            let escape = self.peek().ok_or("unterminated string")?;
+            self.pos += 1;
+            match escape {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => out.push(self.unicode_escape()?),
+                _ => return Err(format!("invalid escape at byte {}", self.pos - 1)),
             }
         }
+    }
+
+    /// Decodes the `XXXX` of a `\uXXXX` escape, joining a UTF-16 surrogate
+    /// pair written as two escapes (RFC 8259 §7). A lone surrogate is an
+    /// error.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let start = self.pos;
+        let unpaired = || format!("unpaired surrogate in \\u escape at byte {start}");
+        let code = match self.hex4()? {
+            high @ 0xD800..=0xDBFF => {
+                if !self.bytes()[self.pos..].starts_with(b"\\u") {
+                    return Err(unpaired());
+                }
+                self.pos += 2;
+                let low = self.hex4()?;
+                if !(0xDC00..=0xDFFF).contains(&low) {
+                    return Err(unpaired());
+                }
+                0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+            }
+            0xDC00..=0xDFFF => return Err(unpaired()),
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(|| format!("invalid \\u code point at byte {start}"))
+    }
+
+    /// Four hex digits, exactly: no sign, no shorter run.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self
+            .bytes()
+            .get(self.pos..self.pos + 4)
+            .ok_or("truncated \\u escape")?;
+        let mut code = 0;
+        for &b in digits {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| format!("invalid \\u escape at byte {}", self.pos))?;
+            code = code * 16 + digit;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<JsonValue, String> {
@@ -350,7 +447,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| format!("invalid number `{text}` at byte {start}"))
@@ -360,6 +457,9 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn parse_emit_round_trip() {
@@ -376,10 +476,33 @@ mod tests {
     #[test]
     fn numbers_survive_shortest_roundtrip_formatting() {
         for v in [0.123456789012345_f64, 4.871, 1e-6, -0.0, 1.0 / 3.0] {
-            let text = format_f64(v);
+            let text = JsonValue::from(v).to_string();
             let parsed = JsonValue::parse(&text).unwrap().as_f64().unwrap();
             assert_eq!(parsed.to_bits(), v.to_bits(), "{v}");
         }
+    }
+
+    #[test]
+    fn builder_widens_f32_and_nulls_non_finite_values() {
+        assert_eq!(JsonValue::from(0.1f32).to_string(), "0.10000000149011612");
+        assert_eq!(JsonValue::from(4.871f64).to_string(), "4.871");
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(JsonValue::from(v), JsonValue::Null);
+            assert_eq!(JsonValue::from(v as f32), JsonValue::Null);
+        }
+        // A hand-built non-finite number still emits valid JSON.
+        assert_eq!(JsonValue::Number(f64::NAN).to_string(), "null");
+        assert_eq!(
+            JsonValue::from(u64::from(u32::MAX)).to_string(),
+            "4294967295"
+        );
+        assert_eq!(JsonValue::from(None::<f64>), JsonValue::Null);
+        let doc = JsonValue::object([
+            ("z", "last".into()),
+            ("a", vec![1usize, 2].into()),
+            ("t", true.into()),
+        ]);
+        assert_eq!(doc.to_string(), r#"{"z":"last","a":[1,2],"t":true}"#);
     }
 
     #[test]
@@ -414,6 +537,18 @@ mod tests {
     }
 
     #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A scan that re-validates the rest of the input per character is
+        // quadratic and takes tens of seconds on this input.
+        let body = format!("\"{}é\\n\"", "x".repeat(1 << 20));
+        let start = std::time::Instant::now();
+        let value = JsonValue::parse(&body).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(value.as_str().unwrap().len(), (1 << 20) + 3);
+        assert!(elapsed.as_secs_f64() < 2.0, "1 MiB string took {elapsed:?}");
+    }
+
+    #[test]
     fn unicode_escape_and_control_escaping() {
         let value = JsonValue::parse(r#""éA""#).unwrap();
         assert_eq!(value.as_str(), Some("éA"));
@@ -423,5 +558,78 @@ mod tests {
             JsonValue::parse(&emitted).unwrap().as_str(),
             Some("a\u{1}b")
         );
+    }
+
+    #[test]
+    fn surrogate_pairs_decode() {
+        let value = JsonValue::parse(r#""\ud83d\ude00 \uD834\uDD1E""#).unwrap();
+        assert_eq!(value.as_str(), Some("\u{1F600} \u{1D11E}"));
+    }
+
+    #[test]
+    fn lone_surrogates_are_rejected() {
+        for bad in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83dA""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+        ] {
+            let err = JsonValue::parse(bad).unwrap_err();
+            assert!(err.contains("surrogate"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn signs_and_short_runs_in_unicode_escapes_are_rejected() {
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04""#,
+            r#""\u""#,
+        ] {
+            assert!(JsonValue::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    /// A random tree: every variant, nested up to `depth`, with strings
+    /// drawn from quotes, backslashes, control, multi-byte and astral
+    /// characters and numbers from arbitrary bit patterns.
+    fn random_tree(rng: &mut StdRng, depth: usize) -> JsonValue {
+        let leaf_only = depth == 0;
+        match rng.gen_range(0..if leaf_only { 4 } else { 6 }) {
+            0 => JsonValue::Null,
+            1 => rng.gen::<bool>().into(),
+            2 => f64::from_bits(rng.gen::<u64>()).into(),
+            3 => random_string(rng).into(),
+            4 => (0..rng.gen_range(0..4))
+                .map(|_| random_tree(rng, depth - 1))
+                .collect::<Vec<_>>()
+                .into(),
+            _ => JsonValue::object(
+                (0..rng.gen_range(0..4))
+                    .map(|_| (random_string(rng), random_tree(rng, depth - 1)))
+                    .collect::<Vec<_>>(),
+            ),
+        }
+    }
+
+    fn random_string(rng: &mut StdRng) -> String {
+        const ALPHABET: [char; 10] = ['a', '"', '\\', '/', '\n', '\u{1}', '\u{7f}', 'é', '€', '😀'];
+        (0..rng.gen_range(0..6))
+            .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())])
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn emit_then_parse_is_the_identity(seed in any::<u64>()) {
+            let tree = random_tree(&mut StdRng::seed_from_u64(seed), 4);
+            let text = tree.to_string();
+            prop_assert_eq!(JsonValue::parse(&text), Ok(tree));
+        }
     }
 }

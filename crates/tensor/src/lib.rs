@@ -26,7 +26,11 @@
 //! * [`fixed::Fixed32`] — the 32-bit fixed-point representation used by the
 //!   paper (1 sign bit, 15 integer bits, 16 fractional bits) together with
 //!   bit-level access used by the fault injector,
-//! * [`init`] — deterministic random initialisers (Kaiming/Xavier/uniform).
+//! * [`init`] — deterministic random initialisers (Kaiming/Xavier/uniform),
+//! * [`json`] — the workspace's one JSON tree ([`json::JsonValue`]): build,
+//!   parse and emit for reports, `/metrics`, the campaign protocol and the
+//!   bench files. It lives here, in the leaf crate, so every other crate
+//!   can reach it.
 //!
 //! The kernel never special-cases zero operands, so non-finite values
 //! propagate through products exactly as IEEE 754 requires (`0 · NaN = NaN`)
@@ -52,6 +56,7 @@
 pub mod fixed;
 pub mod half;
 pub mod init;
+pub mod json;
 pub mod matmul;
 pub mod native;
 mod shape;
