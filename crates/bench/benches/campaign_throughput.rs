@@ -12,10 +12,11 @@
 //!
 //! Besides the criterion timings, the bench writes a machine-readable
 //! multi-case comparison to `BENCH_campaign.json` at the workspace root:
-//! `campaign_throughput` (median-of-3 wall-clock per trial engine plus the
-//! measured speedup) and `campaign_adaptive` (trials-to-target under equal
-//! vs Neyman allocation on the briefly-trained CNN, against the same
-//! stratified half-width criterion). Both cases are gated by CI via
+//! `campaign_throughput` (median of 5 interleaved wall-clock samples per
+//! trial engine, their interquartile spread, and the measured speedup) and
+//! `campaign_adaptive` (trials-to-target under equal vs Neyman allocation
+//! on the briefly-trained CNN, against the same stratified half-width
+//! criterion). Both cases are gated by CI via
 //! `fitact bench-gate --case`. Run with `cargo bench -- --test` for the CI
 //! smoke mode: every case executes once, untimed, and the JSON is still
 //! emitted (flagged as a smoke run, which the gate skips).
@@ -352,28 +353,46 @@ fn adaptive_case(smoke: bool) -> (usize, usize, f64, bool) {
     (equal_trials, neyman_trials, speedup, bit_identical)
 }
 
-/// Times one serial CNN campaign per engine (median of `reps`), checks trial
-/// bit-identity, measures the adaptive-allocation trial savings, and writes
-/// the multi-case comparison to `BENCH_campaign.json` at the workspace root
-/// (cases `campaign_throughput` and `campaign_adaptive`, gated separately by
-/// `fitact bench-gate --case`).
+/// The median and interquartile range of one leg's wall times (quantiles
+/// interpolate linearly between order statistics).
+fn median_and_iqr(seconds: &mut [f64]) -> (f64, f64) {
+    seconds.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
+    let quantile = |p: f64| {
+        let pos = p * (seconds.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        seconds[lo] + (seconds[hi] - seconds[lo]) * (pos - lo as f64)
+    };
+    (quantile(0.5), quantile(0.75) - quantile(0.25))
+}
+
+/// Times serial CNN campaigns under both engines (median of `reps` per
+/// engine, the repetitions interleaved full, resumed, full, … so host drift
+/// hits both legs alike), checks trial bit-identity, measures the
+/// adaptive-allocation trial savings, and writes the multi-case comparison
+/// to `BENCH_campaign.json` at the workspace root (cases
+/// `campaign_throughput` and `campaign_adaptive`, gated separately by
+/// `fitact bench-gate --case`). Each leg's interquartile range is written
+/// as its `spread`, so a gate margin can be read against the noise.
 fn emit_campaign_json(smoke: bool) {
     let (mut net, inputs, targets) = cnn_demo();
-    let reps = if smoke { 1 } else { 3 };
-    let mut time_engine = |engine: TrialEngine| -> (f64, CampaignResult) {
-        let mut seconds = Vec::with_capacity(reps);
-        let mut last = None;
-        for _ in 0..reps {
+    let reps = if smoke { 1 } else { 5 };
+    let mut full_times = Vec::with_capacity(reps);
+    let mut resumed_times = Vec::with_capacity(reps);
+    let mut results = None;
+    for _ in 0..reps {
+        let mut timed = |engine: TrialEngine, times: &mut Vec<f64>| {
             let start = Instant::now();
             let result = run_cnn_campaign(&mut net, &inputs, &targets, engine);
-            seconds.push(start.elapsed().as_secs_f64());
-            last = Some(result);
-        }
-        seconds.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-        (seconds[seconds.len() / 2], last.expect("reps >= 1"))
-    };
-    let (full_seconds, full_result) = time_engine(TrialEngine::FullForward);
-    let (resumed_seconds, resumed_result) = time_engine(TrialEngine::CheckpointResumed);
+            times.push(start.elapsed().as_secs_f64());
+            result
+        };
+        let full = timed(TrialEngine::FullForward, &mut full_times);
+        let resumed = timed(TrialEngine::CheckpointResumed, &mut resumed_times);
+        results = Some((full, resumed));
+    }
+    let (full_result, resumed_result) = results.expect("reps >= 1");
+    let (full_seconds, full_spread) = median_and_iqr(&mut full_times);
+    let (resumed_seconds, resumed_spread) = median_and_iqr(&mut resumed_times);
     let bit_identical = full_result.accuracies == resumed_result.accuracies
         && full_result.fault_free_accuracy == resumed_result.fault_free_accuracy
         && full_result.total_faults == resumed_result.total_faults;
@@ -401,6 +420,14 @@ fn emit_campaign_json(smoke: bool) {
                 ("checkpoint_resumed_seconds", resumed_seconds.into()),
                 ("speedup", speedup.into()),
                 ("bit_identical", bit_identical.into()),
+                ("samples", reps.into()),
+                (
+                    "spread",
+                    JsonValue::object([
+                        ("full_forward_seconds", full_spread.into()),
+                        ("checkpoint_resumed_seconds", resumed_spread.into()),
+                    ]),
+                ),
             ]),
         ),
         (

@@ -13,8 +13,8 @@ use crate::CliError;
 use fitact::{apply_protection, ActivationProfiler, FitAct, FitActConfig, ProtectionScheme};
 use fitact_data::DataSpec;
 use fitact_faults::{
-    quantize_network, Campaign, CampaignControl, FaultModel, RunOutcome, StatCampaignConfig,
-    TransientBitFlip,
+    quantize_network, Campaign, CampaignControl, CampaignProgress, FaultModel, RunOutcome,
+    StatCampaignConfig, TransientBitFlip,
 };
 use fitact_io::{fingerprint_bytes, CampaignCheckpoint, JsonValue, ModelArtifact};
 use fitact_nn::layers::{ActivationLayer, Flatten, Linear, Sequential};
@@ -601,18 +601,15 @@ fn campaign_single(args: &Args) -> Result<JsonValue, CliError> {
             } else {
                 None
             };
-            let fault_free = network
-                .evaluate(&inputs, &targets, config.batch_size)
-                .map_err(|e| format!("baseline evaluation failed: {e}"))?;
             let network_name = network.name().to_owned();
-            let snapshot = |pools: Vec<fitact_faults::StratumPool>| {
+            let snapshot = |progress: &CampaignProgress| {
                 CampaignCheckpoint::new(
                     config.clone(),
                     TransientBitFlip.name(),
                     network_name.clone(),
                     fingerprint,
-                    fault_free,
-                    pools,
+                    progress.fault_free_accuracy,
+                    progress.pools.clone(),
                     Vec::new(),
                 )
             };
@@ -625,7 +622,7 @@ fn campaign_single(args: &Args) -> Result<JsonValue, CliError> {
                     default_threads(),
                     resume,
                     &mut |progress| {
-                        if let Err(e) = snapshot(progress.pools.clone()).save(&path) {
+                        if let Err(e) = snapshot(progress).save(&path) {
                             save_error = Some(e.to_string());
                             return CampaignControl::Stop;
                         }
@@ -646,7 +643,7 @@ fn campaign_single(args: &Args) -> Result<JsonValue, CliError> {
                     report
                 }
                 RunOutcome::Interrupted(progress) => {
-                    snapshot(progress.pools.clone()).save(&path).map_err(|e| {
+                    snapshot(&progress).save(&path).map_err(|e| {
                         format!("cannot write checkpoint `{}`: {e}", path.display())
                     })?;
                     return Ok(resumable_result(

@@ -1,23 +1,31 @@
 //! Repeated inject → evaluate → restore fault-injection campaigns.
 //!
-//! Two stopping rules share one trial engine:
+//! One private trial executor runs every campaign trial. It resolves the
+//! strata, snapshots the parameters, establishes the fault-free baseline
+//! and clones the worker networks once, then runs any list of
+//! [`TrialSpec`]s, bit-identically for every thread count. Its fronts:
 //!
-//! * [`Campaign::run`] — the classic fixed-trial-count campaign (the paper's
-//!   Figs. 5/6 protocol): uniform sites, one accuracy sample per trial,
 //! * [`Campaign::run_until`] — the statistical campaign: trials are
 //!   stratified by layer / bit class, each trial is classified as masked /
-//!   tolerable SDC / critical SDC, and batches keep launching until the
+//!   tolerable SDC / critical SDC, and rounds keep launching until the
 //!   pooled critical-SDC Wilson interval is narrower than a target ε (or the
 //!   trial budget runs out). Because the interval tightens fastest exactly
 //!   when the answer is lopsided — which low fault rates make the common
 //!   case — typical campaigns stop at a fraction of the fixed budget a
 //!   worst-case-variance design would need.
+//!   [`Campaign::run_until_resumable`] holds the crate's one round loop.
+//! * [`Campaign::run`] — the classic fixed-trial-count campaign (the paper's
+//!   Figs. 5/6 protocol): uniform sites, one accuracy sample per trial. It
+//!   is the one-round statistical campaign over a single
+//!   [`StratumSpec::all`] stratum.
+//! * [`UnitRunner`] — contiguous per-stratum trial ranges for the
+//!   distributed work-unit protocol.
 //!
-//! Under the default [`TrialEngine::CheckpointResumed`] engine both stopping
-//! rules evaluate trials from cached clean layer activations
+//! Under the default [`TrialEngine::CheckpointResumed`] engine the executor
+//! evaluates trials from cached clean layer activations
 //! ([`CheckpointCache`]): the fault-free forward runs once per campaign and
 //! each trial re-executes only the layers downstream of its faults,
-//! bit-identically to the full-forward engine.
+//! bit-identically to [`TrialEngine::FullForward`], the reference engine.
 
 use crate::checkpoint::{CheckpointCache, ResumePlan};
 use crate::map::MemoryMap;
@@ -852,17 +860,12 @@ pub struct CampaignProgress {
     pub pools: Vec<StratumPool>,
     /// Rounds completed when the progress was captured.
     pub rounds: usize,
+    /// The campaign's fault-free baseline accuracy (what a checkpoint
+    /// records to verify the baseline on resume).
+    pub fault_free_accuracy: f32,
 }
 
 impl CampaignProgress {
-    /// Empty progress for `num_strata` strata.
-    pub fn empty(num_strata: usize) -> Self {
-        CampaignProgress {
-            pools: vec![StratumPool::new(); num_strata],
-            rounds: 0,
-        }
-    }
-
     /// Total completed trials across all strata.
     pub fn total_trials(&self) -> usize {
         self.pools.iter().map(StratumPool::len).sum()
@@ -896,12 +899,9 @@ pub enum RunOutcome {
 /// paths: a layer-restricted stratum cannot be honoured, and silently running
 /// whole-network corruption per "layer" would report a fictitious
 /// layer-vulnerability ranking.
-fn check_model_strata(
-    model: &dyn FaultModel,
-    config: &StatCampaignConfig,
-) -> Result<(), FaultError> {
+fn check_model_strata(model: &dyn FaultModel, strata: &[StratumSpec]) -> Result<(), FaultError> {
     if !model.uses_parameter_sites() {
-        if let Some(spec) = config.strata.iter().find(|s| s.path_prefix.is_some()) {
+        if let Some(spec) = strata.iter().find(|s| s.path_prefix.is_some()) {
             return Err(FaultError::InvalidConfig(format!(
                 "fault model `{}` corrupts the datapath and cannot honour the layer \
                  restriction of stratum `{}`; use bit-class strata without path prefixes",
@@ -989,36 +989,6 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// The trial-evaluation engine the campaign will use.
-    pub fn engine(&self) -> TrialEngine {
-        self.engine
-    }
-
-    /// Establishes the campaign baseline once: under the resumed engine, one
-    /// fault-free forward both snapshots the layer-boundary checkpoints and
-    /// yields the baseline accuracy (and clean per-sample labels); under the
-    /// full-forward engine the baseline is a plain evaluation.
-    fn prepare_baseline(
-        &mut self,
-        batch_size: usize,
-    ) -> Result<(Option<(CheckpointCache, ResumePlan)>, f32), FaultError> {
-        match self.engine {
-            TrialEngine::CheckpointResumed => {
-                let plan = ResumePlan::of_network(self.network);
-                let cache =
-                    CheckpointCache::capture(self.network, self.inputs, self.targets, batch_size)?;
-                let fault_free = cache.fault_free_accuracy();
-                Ok((Some((cache, plan)), fault_free))
-            }
-            TrialEngine::FullForward => {
-                let fault_free = self
-                    .network
-                    .evaluate(self.inputs, self.targets, batch_size)?;
-                Ok((None, fault_free))
-            }
-        }
-    }
-
     /// Runs the fixed-count campaign: `config.trials` times, sample faults at
     /// `config.fault_rate`, inject them, evaluate accuracy on the evaluation
     /// set, and restore the original parameters.
@@ -1054,6 +1024,12 @@ impl<'a> Campaign<'a> {
     /// Runs the campaign with an explicit worker-thread count (mainly for
     /// scaling experiments; results do not depend on `threads`).
     ///
+    /// A fixed-count campaign is the one-round statistical campaign over a
+    /// single [`StratumSpec::all`] stratum whose round, minimum and budget
+    /// are all `config.trials`: trial `i` is `TrialSpec { stratum: 0,
+    /// index: i }`, so the uniform sites and results are those of
+    /// [`Campaign::run_until`] on that plan.
+    ///
     /// # Errors
     ///
     /// Returns configuration errors and propagates evaluation failures.
@@ -1063,36 +1039,29 @@ impl<'a> Campaign<'a> {
         threads: usize,
     ) -> Result<CampaignResult, FaultError> {
         config.validate()?;
-        let sampler = StratifiedSampler::uniform(&self.map)?;
-        let snapshot = self.network.snapshot_full();
-        let (resume, fault_free_accuracy) = self.prepare_baseline(config.batch_size)?;
-        let specs: Vec<TrialSpec> = (0..config.trials)
-            .map(|index| TrialSpec { stratum: 0, index })
-            .collect();
-        let mut workers = spawn_worker_networks(self.network, threads, specs.len());
-        let records = execute_trials(
-            self.network,
-            &mut workers,
-            &snapshot,
-            self.inputs,
-            self.targets,
-            &sampler,
-            &TransientBitFlip,
-            config.fault_rate,
-            config.batch_size,
-            config.seed,
-            resume.as_ref(),
-            &specs,
-        )?;
-        let accuracies: Vec<f32> = records.iter().map(|r| r.accuracy).collect();
-        let total_faults = records.iter().map(|r| r.faults).sum();
-        let stats = SampleStats::from_sample(&accuracies)
+        let one_round = StatCampaignConfig {
+            fault_rate: config.fault_rate,
+            batch_size: config.batch_size,
+            seed: config.seed,
+            round_trials: config.trials,
+            min_trials: config.trials,
+            max_trials: config.trials,
+            strata: vec![StratumSpec::all()],
+            ..StatCampaignConfig::default()
+        };
+        let report = self.run_until_with_threads(&one_round, &TransientBitFlip, threads)?;
+        let stratum = report
+            .strata
+            .into_iter()
+            .next()
+            .expect("a one-stratum plan reports one stratum");
+        let stats = SampleStats::from_sample(&stratum.accuracies)
             .expect("trials is non-zero, so the sample is non-empty");
         Ok(CampaignResult {
-            accuracies,
+            accuracies: stratum.accuracies,
             stats,
-            fault_free_accuracy,
-            total_faults,
+            fault_free_accuracy: report.fault_free_accuracy,
+            total_faults: stratum.total_faults,
             fault_rate: config.fault_rate,
         })
     }
@@ -1212,13 +1181,20 @@ impl<'a> Campaign<'a> {
         observer: &mut dyn FnMut(&CampaignProgress) -> CampaignControl,
     ) -> Result<RunOutcome, FaultError> {
         config.validate()?;
-        check_model_strata(model, config)?;
-        let sampler = StratifiedSampler::new(&self.map, &config.strata)?;
+        check_model_strata(model, &config.strata)?;
+        let mut executor = TrialExecutor::prepare(
+            self.network,
+            self.inputs,
+            self.targets,
+            &self.map,
+            config,
+            self.engine,
+            threads,
+        )?;
         let z = z_for_confidence(config.confidence);
-        let snapshot = self.network.snapshot_full();
-        let (resume_cache, fault_free_accuracy) = self.prepare_baseline(config.batch_size)?;
+        let fault_free_accuracy = executor.fault_free_accuracy;
 
-        let num_strata = sampler.num_strata();
+        let num_strata = executor.sampler.num_strata();
         let mut pools = match resume {
             Some(pools) => {
                 if pools.len() != num_strata {
@@ -1231,12 +1207,9 @@ impl<'a> Campaign<'a> {
             }
             None => vec![StratumPool::new(); num_strata],
         };
-        let round_size = config.round_trials * num_strata;
-        // Worker clones are expensive for large models; create them once and
-        // reuse them across every round (each trial restores the snapshot, so
-        // a worker network is interchangeable between rounds).
-        let mut workers = spawn_worker_networks(self.network, threads, round_size);
-        let populations: Vec<u64> = (0..num_strata).map(|s| sampler.population(s)).collect();
+        let populations: Vec<u64> = (0..num_strata)
+            .map(|s| executor.sampler.population(s))
+            .collect();
         let mut counts = vec![0usize; num_strata];
         let mut rounds = 0usize;
         let mut converged = false;
@@ -1260,21 +1233,9 @@ impl<'a> Campaign<'a> {
                 .collect();
             let fresh = !missing.is_empty();
             if fresh {
-                let records = execute_trials(
-                    self.network,
-                    &mut workers,
-                    &snapshot,
-                    self.inputs,
-                    self.targets,
-                    &sampler,
-                    model,
-                    config.fault_rate,
-                    config.batch_size,
-                    config.seed,
-                    resume_cache.as_ref(),
-                    &missing,
-                )?;
-                for (spec, point) in missing.iter().zip(records) {
+                let points =
+                    executor.run(self.network, self.inputs, self.targets, model, &missing)?;
+                for (spec, point) in missing.iter().zip(points) {
                     pools[spec.stratum].insert(spec.index as u64, point)?;
                 }
             }
@@ -1302,6 +1263,7 @@ impl<'a> Campaign<'a> {
                 let progress = CampaignProgress {
                     pools: pools.clone(),
                     rounds,
+                    fault_free_accuracy,
                 };
                 if observer(&progress) == CampaignControl::Stop {
                     return Ok(RunOutcome::Interrupted(progress));
@@ -1326,7 +1288,7 @@ impl<'a> Campaign<'a> {
             config,
             model.name(),
             fault_free_accuracy,
-            &sampler,
+            &executor.sampler,
             &pools,
             rounds,
             converged,
@@ -1350,12 +1312,7 @@ pub struct UnitRunner {
     network: Network,
     inputs: Tensor,
     targets: Vec<usize>,
-    config: StatCampaignConfig,
-    sampler: StratifiedSampler,
-    snapshot: NetworkSnapshot,
-    resume: Option<(CheckpointCache, ResumePlan)>,
-    fault_free_accuracy: f32,
-    workers: Vec<Network>,
+    executor: TrialExecutor,
 }
 
 impl UnitRunner {
@@ -1379,23 +1336,20 @@ impl UnitRunner {
         if map.is_empty() {
             return Err(FaultError::EmptyMemoryMap);
         }
-        let sampler = StratifiedSampler::new(&map, &config.strata)?;
-        let snapshot = network.snapshot_full();
-        let plan = ResumePlan::of_network(&mut network);
-        let cache = CheckpointCache::capture(&mut network, &inputs, &targets, config.batch_size)?;
-        let fault_free_accuracy = cache.fault_free_accuracy();
-        let unit_cap = config.round_trials.max(1) * sampler.num_strata();
-        let workers = spawn_worker_networks(&network, threads, unit_cap);
+        let executor = TrialExecutor::prepare(
+            &mut network,
+            &inputs,
+            &targets,
+            &map,
+            config,
+            TrialEngine::CheckpointResumed,
+            threads,
+        )?;
         Ok(UnitRunner {
             network,
             inputs,
             targets,
-            config: config.clone(),
-            sampler,
-            snapshot,
-            resume: Some((cache, plan)),
-            fault_free_accuracy,
-            workers,
+            executor,
         })
     }
 
@@ -1403,17 +1357,17 @@ impl UnitRunner {
     /// loaded the same artifact, and verified by the coordinator before any
     /// unit result is merged.
     pub fn fault_free_accuracy(&self) -> f32 {
-        self.fault_free_accuracy
+        self.executor.fault_free_accuracy
     }
 
     /// Number of strata the runner resolved.
     pub fn num_strata(&self) -> usize {
-        self.sampler.num_strata()
+        self.executor.sampler.num_strata()
     }
 
     /// The resolved stratified sampler (labels, populations).
     pub fn sampler(&self) -> &StratifiedSampler {
-        &self.sampler
+        &self.executor.sampler
     }
 
     /// Runs trials `start .. start + count` of `stratum` and returns their
@@ -1431,28 +1385,21 @@ impl UnitRunner {
         start: usize,
         count: usize,
     ) -> Result<Vec<TrialPoint>, FaultError> {
-        check_model_strata(model, &self.config)?;
-        if stratum >= self.sampler.num_strata() {
+        check_model_strata(model, self.executor.sampler.specs())?;
+        if stratum >= self.num_strata() {
             return Err(FaultError::InvalidConfig(format!(
                 "work unit names stratum {stratum}, campaign has {}",
-                self.sampler.num_strata()
+                self.num_strata()
             )));
         }
         let specs: Vec<TrialSpec> = (start..start + count)
             .map(|index| TrialSpec { stratum, index })
             .collect();
-        execute_trials(
+        self.executor.run(
             &mut self.network,
-            &mut self.workers,
-            &self.snapshot,
             &self.inputs,
             &self.targets,
-            &self.sampler,
             model,
-            self.config.fault_rate,
-            self.config.batch_size,
-            self.config.seed,
-            self.resume.as_ref(),
             &specs,
         )
     }
@@ -1464,140 +1411,160 @@ fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `specs` (in order) across `threads` workers and returns one record
-/// per spec, independent of the thread count.
-///
-/// Clones the worker networks a campaign needs for `threads` threads over at
-/// most `max_batch` trials per batch: an empty vector for the serial path.
-///
-/// Workers are created once per campaign and reused across every trial batch
-/// — cloning a large model per round would dominate the campaign's cost.
-fn spawn_worker_networks(network: &Network, threads: usize, max_batch: usize) -> Vec<Network> {
-    let workers = threads.clamp(1, max_batch.max(1));
-    if workers <= 1 {
-        Vec::new()
-    } else {
-        (0..workers).map(|_| network.clone()).collect()
-    }
+/// The campaign baseline, fixed by the [`TrialEngine`]: how the clean
+/// network is captured once, and how each trial evaluates against it.
+#[derive(Debug)]
+enum Baseline {
+    /// The shared read-only [`CheckpointCache`] of clean layer-boundary
+    /// activations and the site→layer [`ResumePlan`]: each trial re-executes
+    /// only the network suffix downstream of its faults.
+    Resumed {
+        cache: CheckpointCache,
+        plan: ResumePlan,
+    },
+    /// Each trial re-runs the full forward pass — the reference the resumed
+    /// engine is pinned against.
+    FullForward,
 }
 
-/// Workers each own a private clone of the network (evaluation mutates layer
-/// caches) and take a contiguous range of specs; record slots are disjoint
-/// `split_at_mut` chunks, so workers never synchronise until the final join.
-/// An empty `workers` slice selects the serial path on `network` itself.
-///
-/// `resume` carries the campaign's shared read-only [`CheckpointCache`] and
-/// its site→layer [`ResumePlan`]; `None` selects the full-forward engine.
-#[allow(clippy::too_many_arguments)]
-fn execute_trials(
-    network: &mut Network,
-    workers: &mut [Network],
-    snapshot: &NetworkSnapshot,
-    inputs: &Tensor,
-    targets: &[usize],
-    sampler: &StratifiedSampler,
-    model: &dyn FaultModel,
+/// The one trial executor behind [`Campaign`] and [`UnitRunner`]: the
+/// resolved strata, the parameter snapshot every trial restores, the
+/// baseline, and the worker clones, set up once per campaign and reused by
+/// every batch of trials.
+#[derive(Debug)]
+struct TrialExecutor {
+    sampler: StratifiedSampler,
+    snapshot: NetworkSnapshot,
+    baseline: Baseline,
+    fault_free_accuracy: f32,
+    workers: Vec<Network>,
     fault_rate: f64,
     batch_size: usize,
     seed: u64,
-    resume: Option<&(CheckpointCache, ResumePlan)>,
-    specs: &[TrialSpec],
-) -> Result<Vec<TrialPoint>, FaultError> {
-    let mut outcomes: Vec<Option<Result<TrialPoint, FaultError>>> =
-        specs.iter().map(|_| None).collect();
-    if workers.len() <= 1 || specs.len() <= 1 {
-        run_trials(
-            network,
-            snapshot,
-            inputs,
-            targets,
-            sampler,
-            model,
-            fault_rate,
-            batch_size,
-            seed,
-            resume,
-            specs,
-            &mut outcomes,
-        );
-        // `run_trials` restores after every trial, so the borrowed network
-        // ends the batch in its pre-campaign state.
-    } else {
-        let per_worker = specs.len().div_ceil(workers.len());
-        std::thread::scope(|scope| {
-            let mut remaining_outcomes = outcomes.as_mut_slice();
-            let mut remaining_specs = specs;
-            let mut remaining_workers = &mut workers[..];
-            while !remaining_specs.is_empty() {
-                let count = per_worker.min(remaining_specs.len());
-                let (chunk_specs, rest_specs) = remaining_specs.split_at(count);
-                let (chunk, rest) = remaining_outcomes.split_at_mut(count);
-                let (worker, rest_workers) = remaining_workers
-                    .split_first_mut()
-                    .expect("per-worker chunking never outruns the worker pool");
-                remaining_specs = rest_specs;
-                remaining_outcomes = rest;
-                remaining_workers = rest_workers;
-                scope.spawn(move || {
-                    // One campaign worker already occupies this core; nested
-                    // matmul fan-out would oversubscribe the machine (results
-                    // are thread-count-invariant either way).
-                    fitact_tensor::matmul::serial_scope(|| {
-                        run_trials(
-                            worker,
-                            snapshot,
-                            inputs,
-                            targets,
-                            sampler,
-                            model,
-                            fault_rate,
-                            batch_size,
-                            seed,
-                            resume,
-                            chunk_specs,
-                            chunk,
-                        );
-                    });
-                });
+}
+
+impl TrialExecutor {
+    /// Resolves `config.strata` over `map`, snapshots `network`'s
+    /// parameters and establishes the baseline once: under the resumed
+    /// engine one fault-free forward both captures the layer-boundary
+    /// checkpoints and yields the baseline accuracy; under the full-forward
+    /// engine the baseline is a plain evaluation.
+    ///
+    /// Worker clones are sized for one round of `config` on `threads`
+    /// threads: none for a serial run.
+    fn prepare(
+        network: &mut Network,
+        inputs: &Tensor,
+        targets: &[usize],
+        map: &MemoryMap,
+        config: &StatCampaignConfig,
+        engine: TrialEngine,
+        threads: usize,
+    ) -> Result<Self, FaultError> {
+        let sampler = StratifiedSampler::new(map, &config.strata)?;
+        let snapshot = network.snapshot_full();
+        let (baseline, fault_free_accuracy) = match engine {
+            TrialEngine::CheckpointResumed => {
+                let plan = ResumePlan::of_network(network);
+                let cache = CheckpointCache::capture(network, inputs, targets, config.batch_size)?;
+                let fault_free = cache.fault_free_accuracy();
+                (Baseline::Resumed { cache, plan }, fault_free)
             }
-        });
+            TrialEngine::FullForward => (
+                Baseline::FullForward,
+                network.evaluate(inputs, targets, config.batch_size)?,
+            ),
+        };
+        let round_size = config.round_trials * sampler.num_strata();
+        let workers = spawn_worker_networks(network, threads, round_size);
+        Ok(TrialExecutor {
+            sampler,
+            snapshot,
+            baseline,
+            fault_free_accuracy,
+            workers,
+            fault_rate: config.fault_rate,
+            batch_size: config.batch_size,
+            seed: config.seed,
+        })
     }
-    let mut records = Vec::with_capacity(specs.len());
-    for outcome in outcomes {
-        records.push(outcome.expect("every spec is covered by exactly one worker")?);
-    }
-    Ok(records)
-}
 
-/// Executes the given trials on `network`, writing one record per spec.
-///
-/// Each trial seeds its own stream from `(seed, stratum, index)` and consumes
-/// it identically under both engines (site sampling and injection happen
-/// before evaluation either way), so the result of a trial depends only on
-/// its identity — never on which worker ran it, what ran before it on the
-/// same network (the snapshot restore guarantees identical starting
-/// parameters), or which engine evaluated it.
-#[allow(clippy::too_many_arguments)]
-fn run_trials(
-    network: &mut Network,
-    snapshot: &NetworkSnapshot,
-    inputs: &Tensor,
-    targets: &[usize],
-    sampler: &StratifiedSampler,
-    model: &dyn FaultModel,
-    fault_rate: f64,
-    batch_size: usize,
-    seed: u64,
-    resume: Option<&(CheckpointCache, ResumePlan)>,
-    specs: &[TrialSpec],
-    outcomes: &mut [Option<Result<TrialPoint, FaultError>>],
-) {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    for (spec, outcome) in specs.iter().zip(outcomes.iter_mut()) {
-        let mut rng = StdRng::seed_from_u64(trial_stream_seed(seed, spec.stratum, spec.index));
+    /// Runs `specs` and returns one point per spec, in spec order and
+    /// independent of the worker count.
+    ///
+    /// Workers each own a private clone of the network (evaluation mutates
+    /// layer caches) and take a contiguous chunk of specs, so they never
+    /// synchronise until the final join. Without workers the trials run
+    /// serially on `network` itself; either way `network` ends the batch in
+    /// its pre-campaign state.
+    fn run(
+        &mut self,
+        network: &mut Network,
+        inputs: &Tensor,
+        targets: &[usize],
+        model: &dyn FaultModel,
+        specs: &[TrialSpec],
+    ) -> Result<Vec<TrialPoint>, FaultError> {
+        if self.workers.len() <= 1 || specs.len() <= 1 {
+            return specs
+                .iter()
+                .map(|&spec| self.trial(network, inputs, targets, model, spec))
+                .collect();
+        }
+        // The threads share the executor read-only while each mutates its
+        // own worker clone, so the pool leaves `self` for the batch.
+        let mut workers = std::mem::take(&mut self.workers);
+        let per_worker = specs.len().div_ceil(workers.len());
+        let executor = &*self;
+        let chunks: Vec<Result<Vec<TrialPoint>, FaultError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = specs
+                .chunks(per_worker)
+                .zip(workers.iter_mut())
+                .map(|(chunk, worker)| {
+                    scope.spawn(move || {
+                        // One campaign worker already occupies this core;
+                        // nested matmul fan-out would oversubscribe the
+                        // machine (results are thread-count-invariant either
+                        // way).
+                        fitact_tensor::matmul::serial_scope(|| {
+                            chunk
+                                .iter()
+                                .map(|&spec| executor.trial(worker, inputs, targets, model, spec))
+                                .collect()
+                        })
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("a campaign worker panicked"))
+                .collect()
+        });
+        self.workers = workers;
+        Ok(chunks.into_iter().collect::<Result<Vec<_>, _>>()?.concat())
+    }
+
+    /// Runs one trial on `network` and restores it.
+    ///
+    /// The trial seeds its own stream from `(seed, stratum, index)` and
+    /// consumes it identically under both baselines (site sampling and
+    /// injection happen before evaluation either way), so its result depends
+    /// only on its identity — never on which worker ran it, what ran before
+    /// it on the same network (the snapshot restore guarantees identical
+    /// starting parameters), or which engine evaluated it.
+    fn trial(
+        &self,
+        network: &mut Network,
+        inputs: &Tensor,
+        targets: &[usize],
+        model: &dyn FaultModel,
+        spec: TrialSpec,
+    ) -> Result<TrialPoint, FaultError> {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(trial_stream_seed(self.seed, spec.stratum, spec.index));
         let sites = if model.uses_parameter_sites() {
-            sampler.sample(spec.stratum, fault_rate, &mut rng)
+            self.sampler.sample(spec.stratum, self.fault_rate, &mut rng)
         } else {
             Vec::new()
         };
@@ -1611,17 +1578,17 @@ fn run_trials(
                 .collect::<Vec<_>>()
         });
         let ctx = TrialContext {
-            fault_rate,
-            bit_positions: sampler.bit_positions(spec.stratum),
+            fault_rate: self.fault_rate,
+            bit_positions: self.sampler.bit_positions(spec.stratum),
         };
         let injection = model.inject(network, &sites, &ctx, &mut rng);
-        let result = match resume {
-            Some((cache, plan)) => {
+        let result = match &self.baseline {
+            Baseline::Resumed { cache, plan } => {
                 let boundary = plan.resume_boundary(model, &sites);
                 cache.evaluate_resumed(network, targets, boundary)
             }
-            None => network
-                .evaluate(inputs, targets, batch_size)
+            Baseline::FullForward => network
+                .evaluate(inputs, targets, self.batch_size)
                 .map_err(FaultError::from),
         };
         let faults = injection.total();
@@ -1632,9 +1599,23 @@ fn run_trials(
             }
         }
         network
-            .restore_full(snapshot)
+            .restore_full(&self.snapshot)
             .expect("snapshot taken from the same network always restores");
-        *outcome = Some(result.map(|accuracy| TrialPoint { accuracy, faults }));
+        result.map(|accuracy| TrialPoint { accuracy, faults })
+    }
+}
+
+/// Clones the worker networks a campaign needs for `threads` threads over at
+/// most `max_batch` trials per batch: an empty vector for the serial path.
+///
+/// Workers are created once per campaign and reused across every trial batch
+/// — cloning a large model per round would dominate the campaign's cost.
+fn spawn_worker_networks(network: &Network, threads: usize, max_batch: usize) -> Vec<Network> {
+    let workers = threads.clamp(1, max_batch.max(1));
+    if workers <= 1 {
+        Vec::new()
+    } else {
+        (0..workers).map(|_| network.clone()).collect()
     }
 }
 

@@ -31,16 +31,20 @@
 //! * [`CanaryInjector`] — a persistent datapath-injector handle for shadow
 //!   ("canary") replicas in the serving path, reporting live fault counts so
 //!   detection coverage can be measured against violation telemetry,
-//! * [`Campaign`] — the trial engine: [`Campaign::run`] for fixed-count
-//!   campaigns (paper Figs. 5 and 6) and [`Campaign::run_until`] for
-//!   stratified campaigns with masked / tolerable-SDC / critical-SDC outcome
-//!   classification ([`TrialOutcome`]), per-stratum Wilson confidence
-//!   intervals ([`WilsonInterval`]) and sequential early stopping,
-//! * [`CheckpointCache`] / [`ResumePlan`] / [`TrialEngine`] — the
-//!   checkpoint-resumed evaluation engine: clean layer-boundary activations
-//!   are snapshotted once per campaign and each trial re-executes only the
-//!   network suffix downstream of its faults, bit-identically to a full
-//!   forward,
+//! * [`Campaign`] and [`UnitRunner`] — thin fronts over one trial executor
+//!   that sets up the strata, parameter snapshot, baseline and worker clones
+//!   once per campaign: [`Campaign::run_until`] for stratified campaigns
+//!   with masked / tolerable-SDC / critical-SDC outcome classification
+//!   ([`TrialOutcome`]), per-stratum Wilson confidence intervals
+//!   ([`WilsonInterval`]) and sequential early stopping;
+//!   [`Campaign::run`] for fixed-count campaigns (paper Figs. 5 and 6),
+//!   which run as a one-round plan; [`UnitRunner`] for the per-stratum
+//!   trial ranges of distributed work units,
+//! * [`CheckpointCache`] / [`ResumePlan`] — the executor's default
+//!   baseline: clean layer-boundary activations are snapshotted once per
+//!   campaign and each trial re-executes only the network suffix
+//!   downstream of its faults, bit-identically to a full forward
+//!   ([`TrialEngine::FullForward`], kept as the reference engine),
 //! * [`BitFlipInjector`] / [`StuckAtInjector`] — the low-level sample +
 //!   apply primitives,
 //! * [`quantize_network`] — rounds every stored parameter to its Q15.16

@@ -1416,8 +1416,12 @@ fn parse_rows(body: &[u8], features: usize) -> Result<Vec<Vec<f32>>, String> {
         for (j, n) in numbers.iter().enumerate() {
             let v = n
                 .as_f64()
-                .ok_or_else(|| format!("row {i} value {j} is not a number"))?;
-            row.push(v as f32);
+                .ok_or_else(|| format!("row {i} value {j} is not a number"))?
+                as f32;
+            if !v.is_finite() {
+                return Err(format!("row {i} value {j} does not fit in an f32"));
+            }
+            row.push(v);
         }
         rows.push(row);
     }

@@ -101,6 +101,15 @@ fn routing_and_validation_errors() {
         .as_str()
         .unwrap()
         .contains("the model takes 4"));
+    // A value that overflows f32 would reach the network as infinity.
+    let (status, body) = http(addr, "POST", "/predict", r#"{"input": [1e39, 0, 0, 0]}"#);
+    assert_eq!(status, 400, "{body}");
+    assert!(body
+        .get("error")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .contains("row 0 value 0 does not fit in an f32"));
     // Errors do not poison the server.
     let (status, body) = http(addr, "POST", "/predict", r#"{"input": [1, 2, 3, 4]}"#);
     assert_eq!(status, 200, "{body}");

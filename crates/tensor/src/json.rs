@@ -16,8 +16,10 @@
 //! survives an emit → parse cycle bit-exactly.
 //!
 //! The parser accepts standard JSON (RFC 8259), including `\uXXXX` escapes
-//! and surrogate pairs, runs in time linear in its input and bounds nesting
-//! depth, because `fitact serve` feeds untrusted request bodies through it.
+//! and surrogate pairs, and nothing else: numbers follow the §6 grammar and
+//! must fit in an `f64`, and strings may not hold raw control characters.
+//! It runs in time linear in its input and bounds nesting depth, because
+//! `fitact serve` feeds untrusted request bodies through it.
 
 use std::fmt;
 
@@ -365,18 +367,26 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy the run up to the next quote or backslash in one step.
-            // Both are ASCII, which never occurs inside a multi-byte UTF-8
-            // sequence, so the run ends on a character boundary.
+            // Copy the run up to the next quote, backslash or control
+            // character in one step. All are ASCII, which never occurs
+            // inside a multi-byte UTF-8 sequence, so the run ends on a
+            // character boundary.
             let rest = &self.text[self.pos..];
             let run = rest
                 .bytes()
-                .position(|b| b == b'"' || b == b'\\')
+                .position(|b| b == b'"' || b == b'\\' || b < 0x20)
                 .ok_or("unterminated string")?;
             out.push_str(&rest[..run]);
             self.pos += run + 1;
-            if rest.as_bytes()[run] == b'"' {
-                return Ok(out);
+            match rest.as_bytes()[run] {
+                b'"' => return Ok(out),
+                b'\\' => {}
+                _ => {
+                    return Err(format!(
+                        "unescaped control character in string at byte {}",
+                        self.pos - 1
+                    ))
+                }
             }
             let escape = self.peek().ok_or("unterminated string")?;
             self.pos += 1;
@@ -436,21 +446,51 @@ impl Parser<'_> {
         Ok(code)
     }
 
+    /// A number by the RFC 8259 §6 grammar
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`; a value
+    /// outside the `f64` range is an error, not an infinity.
     fn number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
+        let invalid = |pos: usize| format!("invalid number at byte {pos}");
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(invalid(self.pos)),
+        }
+        if self.peek() == Some(b'.') {
             self.pos += 1;
+            if self.digits() == 0 {
+                return Err(invalid(self.pos));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(invalid(self.pos));
+            }
         }
         let text = &self.text[start..self.pos];
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| format!("invalid number `{text}` at byte {start}"))
+        match text.parse::<f64>() {
+            Ok(value) if value.is_finite() => Ok(JsonValue::Number(value)),
+            _ => Err(format!("number `{text}` at byte {start} is out of range")),
+        }
+    }
+
+    /// Skips a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let from = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - from
     }
 }
 
@@ -509,6 +549,74 @@ mod tests {
     fn syntax_errors_are_reported() {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "\"unterminated", "1..2"] {
             assert!(JsonValue::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn leading_zeros_are_rejected() {
+        assert!(JsonValue::parse("01").is_err());
+        assert!(JsonValue::parse("[-01]").is_err());
+    }
+
+    #[test]
+    fn a_fraction_needs_digits_after_the_point() {
+        assert!(JsonValue::parse("1.").is_err());
+        assert!(JsonValue::parse("[1.]").is_err());
+    }
+
+    #[test]
+    fn a_fraction_needs_an_integer_part() {
+        assert!(JsonValue::parse("-.5").is_err());
+        assert!(JsonValue::parse(".5").is_err());
+    }
+
+    #[test]
+    fn a_point_before_an_exponent_needs_digits() {
+        assert!(JsonValue::parse("1.e3").is_err());
+        assert!(JsonValue::parse("1e").is_err());
+        assert!(JsonValue::parse("1e+").is_err());
+    }
+
+    #[test]
+    fn numbers_outside_the_f64_range_are_rejected() {
+        for bad in ["1e400", "-1e400", "[1e309]"] {
+            let err = JsonValue::parse(bad).unwrap_err();
+            assert!(err.contains("out of range"), "{bad}: {err}");
+        }
+        // The largest finite value and an underflow to zero still parse.
+        assert_eq!(
+            JsonValue::parse("1.7976931348623157e308").unwrap(),
+            JsonValue::Number(f64::MAX)
+        );
+        assert_eq!(JsonValue::parse("1e-400").unwrap(), JsonValue::Number(0.0));
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_rejected() {
+        for bad in [
+            "\"a\u{0}b\"",
+            "\"tab\there\"",
+            "\"line\nbreak\"",
+            "{\"k\u{1f}\":1}",
+        ] {
+            let err = JsonValue::parse(bad).unwrap_err();
+            assert!(err.contains("control character"), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn rfc_8259_numbers_parse() {
+        for (text, value) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-12.25e-1", -1.225),
+            ("1E2", 100.0),
+            ("2e+2", 200.0),
+        ] {
+            let parsed = JsonValue::parse(text).unwrap().as_f64().unwrap();
+            assert_eq!(parsed.to_bits(), f64::to_bits(value), "{text}");
         }
     }
 
